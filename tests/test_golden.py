@@ -1,0 +1,121 @@
+"""Golden outputs: every policy on every generator, frozen byte for byte.
+
+Each case generates an n = 50 instance through ``matchlab gen``, runs all
+four policies for T = 2 n^2 rounds on three seeds through ``matchlab run``,
+and compares the run's CSV tables, a SHA-256 of the instance and of every
+saved trace (so every selection is pinned), and each run's
+``diagnostics()`` with the files under ``tests/golden/<case>/``.  Criterion
+11 only compares two runs of the same code; this fixture shows that a
+change of the code changed no output.
+
+After a change that is meant to alter outputs, rewrite the fixture with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import matchlab.cli as cli
+
+GOLDEN = Path(__file__).parent / "golden"
+N = 50
+T = 2 * N * N
+SEEDS = (0, 1, 2)
+POLICIES = ("uromm", "oomm", "smile", "ismile")
+TABLES = ("curves.csv", "auc.csv", "yardstick.csv", "stats.csv")
+CLUSTERED = ["clustered", "--n", str(N), "--c-b", "5", "--c-g", "5", "--seed", "7"]
+CASES = {
+    "clustered": (CLUSTERED, {}),
+    "adversarial": (["adversarial", "--n", str(N), "--m", "200", "--seed", "1"], {}),
+    "block": (["block", "--n", str(N), "--d", "5", "--m", "600", "--seed", "2"], {}),
+    "bipartite": (["bipartite", "--n", str(N), "--p", "0.1", "--seed", "3"], {}),
+    "clustered-overrides": (
+        CLUSTERED,
+        {"smile.S": "4", "smile.tolerance": "0.05", "ismile.S": "5", "ismile.tolerance": "0"},
+    ),
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_case(case: str, work: Path, monkeypatch) -> dict[str, str]:
+    """Run one case through the CLI; returns the fixture files' contents by name."""
+    gen_args, overrides = CASES[case]
+    inst = work / "instance.txt"
+    assert cli.main(["gen", *gen_args, "--out", str(inst)]) == 0
+    out = work / "out"
+    lines = [
+        f"instance={inst}",
+        f"policies={','.join(POLICIES)}",
+        f"T={T}",
+        f"seeds={','.join(map(str, SEEDS))}",
+        f"out={out}",
+        "curve_stride=50",
+        "save_traces=1",
+    ] + [f"{k}={v}" for k, v in overrides.items()]
+    cfg = work / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+
+    made = []
+
+    def recording_make_policy(name, **params):
+        policy = make_policy(name, **params)
+        made.append(policy)
+        return policy
+
+    make_policy = cli.make_policy
+    monkeypatch.setattr(cli, "make_policy", recording_make_policy)
+    assert cli.main(["run", str(cfg)]) == 0
+
+    files = {name: (out / name).read_text() for name in TABLES}
+    hashes = [f"{_sha256(inst)}  instance.txt"]
+    for pol in POLICIES:
+        for seed in SEEDS:
+            name = f"{pol}-{seed}.trace.csv"
+            hashes.append(f"{_sha256(out / 'traces' / name)}  {name}")
+    files["sha256sums.txt"] = "\n".join(hashes) + "\n"
+    jobs = [(pol, seed) for pol in POLICIES for seed in SEEDS]
+    assert len(made) == len(jobs)
+    files["diagnostics.txt"] = "".join(
+        f"{pol},{seed},{json.dumps(policy.diagnostics())}\n"
+        for (pol, seed), policy in zip(jobs, made)
+    )
+    for (pol, seed), policy in zip(jobs, made):
+        if pol == "smile":
+            assert policy.diagnostics()["phase"] == "user_matching", (case, seed)
+    return files
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_outputs(case, tmp_path, monkeypatch):
+    files = run_case(case, tmp_path, monkeypatch)
+    for name, text in files.items():
+        want = (GOLDEN / case / name).read_text()
+        assert text == want, f"{case}/{name} differs from the golden fixture"
+
+
+def regenerate() -> None:
+    import tempfile
+
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            work = Path(tmp) / case
+            work.mkdir()
+            files = run_case(case, work, mp)
+            dest = GOLDEN / case
+            dest.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (dest / name).write_text(text)
+            print(f"wrote {dest}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate()
