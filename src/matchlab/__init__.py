@@ -18,7 +18,6 @@ from .analysis import (
     sampled_agreement_trial,
 )
 from .core import (
-    DirectedEdge,
     MatchingGraph,
     PreferenceMatrices,
     Side,
@@ -60,7 +59,6 @@ __all__ = [
     "__version__",
     "Side",
     "UserRef",
-    "DirectedEdge",
     "PreferenceMatrices",
     "MatchingGraph",
     "build_matching_graph",

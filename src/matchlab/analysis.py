@@ -211,17 +211,20 @@ def cluster_bound(prefs: PreferenceMatrices, side: str, s_prime: int) -> int:
     Greedy covering sizes over-estimate the true covering numbers, so this
     is a weaker (always valid) form of the representative-count bound; a
     policy's representative count exceeding it is flagged, not fatal.
+    Radii sharing a half-radius share one covering, and the scan stops
+    before a covering once the linear term alone reaches the minimum.
     """
     n = prefs.n
-    cover = girl_side_covering if side == "girl" else boy_side_covering
+    boys, girls = prefs.to_bool_arrays()
+    matrix = boys if side == "girl" else girls
+    sizes: dict[int, int] = {}
     best = n
     rho = 0
-    while rho <= n:
+    while rho <= n and 3 * rho * s_prime < best:
         half = rho // 2
-        size = cover(prefs, half).size
-        best = min(best, size + 3 * rho * s_prime)
-        if 3 * rho * s_prime > best:
-            break  # the linear term alone already exceeds the minimum
+        if half not in sizes:
+            sizes[half] = greedy_covering(matrix, half).size
+        best = min(best, sizes[half] + 3 * rho * s_prime)
         rho = max(rho + 1, int(rho * 1.5))
     return best
 

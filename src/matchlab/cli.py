@@ -30,7 +30,7 @@ from .core import (
 from .datagen import ClusteredSpec, gen_adversarial_random, gen_block_lowerbound, gen_clustered, gen_random_bipartite
 from .errors import InputError, InternalCheckError, MatchlabError
 from .ingest import binarize, densify, parse_ratings
-from .omniscient import ArrivalCounts, arrival_counts, optimal_matches
+from .omniscient import arrival_counts, optimal_matches
 from .policies import POLICIES, make_policy
 from .protocol import RoundTrace, run_protocol
 
@@ -332,6 +332,25 @@ def read_trace(path) -> RoundTrace:
     )
 
 
+def _check_trace(trace: RoundTrace, prefs: PreferenceMatrices, path) -> None:
+    """Every recorded user index is < n and every recorded sign is the instance's.
+
+    A trace scored against the instance it was not recorded on fails here,
+    at its first round that disagrees.
+    """
+    n = prefs.n
+    cols = (trace.boy_arrivals, trace.girls_selected, trace.girl_arrivals, trace.boys_selected)
+    bad = [np.flatnonzero((c < 0) | (c >= n)) for c in cols]
+    first = min((int(b[0]) for b in bad if len(b)), default=None)
+    if first is not None:
+        raise InputError(f"{path}: round {first + 1} names a user index outside the instance's n = {n}")
+    boys_like, girls_like = prefs.boys_like, prefs.girls_like
+    rows = zip(*(c.tolist() for c in (*cols[:2], trace.signs_bg, *cols[2:], trace.signs_gb)))
+    for t, (b, g1, s1, g, b1, s2) in enumerate(rows, start=1):
+        if (boys_like[b] >> g1) & 1 != (s1 > 0) or (girls_like[g] >> b1) & 1 != (s2 > 0):
+            raise InputError(f"{path}: round {t} records a sign the instance does not have")
+
+
 # ---------------------------------------------------------------- other commands
 
 
@@ -391,14 +410,9 @@ def cmd_cover(args) -> int:
 def cmd_yardstick(args) -> int:
     prefs = _load_instance(args.instance)
     trace = read_trace(args.trace)
+    _check_trace(trace, prefs, args.trace)
     mg = build_matching_graph(prefs)
     counts = arrival_counts(trace)
-    if len(counts.boy_counts) > prefs.n:
-        raise InputError("trace mentions users outside the instance")
-    counts = ArrivalCounts(
-        counts.boy_counts + (0,) * (prefs.n - len(counts.boy_counts)),
-        counts.girl_counts + (0,) * (prefs.n - len(counts.girl_counts)),
-    )
     mstar = optimal_matches(mg, counts)
     delta = delta_overload(mg, counts.T)
     print(f"M*_T={mstar}")

@@ -32,16 +32,6 @@ class UserRef:
     index: int
 
 
-@dataclass(frozen=True)
-class DirectedEdge:
-    src: UserRef
-    dst: UserRef
-
-    def __post_init__(self):
-        if self.src.side == self.dst.side:
-            raise InputError("directed edges go across sides")
-
-
 def _check_rows(rows, n, what):
     if len(rows) != n:
         raise InputError(f"{what}: expected {n} rows, got {len(rows)}")

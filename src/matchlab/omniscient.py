@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatchingGraph, all_degrees, delta_overload
+from .core import MatchingGraph, delta_overload
 from .errors import InputError
 from .protocol import RoundTrace
 
@@ -38,7 +38,11 @@ class ArrivalCounts:
 
 
 def arrival_counts(trace: RoundTrace) -> ArrivalCounts:
-    """Per-user arrival tallies from steps (1_B)/(1_G) of a trace."""
+    """Per-user arrival tallies from steps (1_B)/(1_G) of a trace.
+
+    The tallies run up to the largest index that arrived; the flow network
+    pads them to the instance's n.
+    """
     n = int(max(trace.boy_arrivals.max(), trace.girl_arrivals.max())) + 1 if len(trace) else 0
     boys = np.bincount(trace.boy_arrivals, minlength=n)
     girls = np.bincount(trace.girl_arrivals, minlength=n)
@@ -80,14 +84,14 @@ class FlowNetwork:
 
 def build_flow_network(mg: MatchingGraph, counts: ArrivalCounts) -> FlowNetwork:
     n = mg.n
-    if len(counts.boy_counts) != n or len(counts.girl_counts) != n:
-        raise InputError("arrival counts do not match the graph's population size")
+    boy_counts = _sized(counts.boy_counts, n, "boy")
+    girl_counts = _sized(counts.girl_counts, n, "girl")
     net = FlowNetwork(n)
     net.head = [[] for _ in range(2 * n + 2)]
     s, t = net.source, net.sink
     for b in range(n):
-        if counts.boy_counts[b] > 0:
-            net.add_arc(s, b, counts.boy_counts[b])
+        if boy_counts[b] > 0:
+            net.add_arc(s, b, boy_counts[b])
     for b, row in enumerate(mg.boy_rows):
         m = row
         while m:
@@ -96,9 +100,16 @@ def build_flow_network(mg: MatchingGraph, counts: ArrivalCounts) -> FlowNetwork:
             net.unit_arcs.append(net.add_arc(b, n + g, 1))
             m ^= low
     for g in range(n):
-        if counts.girl_counts[g] > 0:
-            net.add_arc(n + g, t, counts.girl_counts[g])
+        if girl_counts[g] > 0:
+            net.add_arc(n + g, t, girl_counts[g])
     return net
+
+
+def _sized(counts: tuple[int, ...], n: int, side: str) -> tuple[int, ...]:
+    """Counts for users 0..n-1: zero for those who never arrived."""
+    if any(counts[n:]):
+        raise InputError(f"arrival counts name a {side} index >= n = {n}")
+    return counts[:n] + (0,) * (n - len(counts))
 
 
 def max_flow(net: FlowNetwork) -> int:
@@ -176,7 +187,3 @@ def expected_optimal_estimate(mg: MatchingGraph, T: int) -> float:
         return 0.0
     return float(mg.match_count / (1 + delta_overload(mg, T)))
 
-
-def max_degree(mg: MatchingGraph) -> int:
-    boy_deg, girl_deg = all_degrees(mg)
-    return max(max(boy_deg, default=0), max(girl_deg, default=0))

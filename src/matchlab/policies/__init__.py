@@ -12,7 +12,7 @@ from ..errors import InputError
 from .base import MatchmakerPolicy
 from .ismile import IsmilePolicy
 from .random_baselines import OommPolicy, OommState, UrommPolicy
-from .smile import MatchingIndex, SmilePolicy, SmileState, build_matching_index, choose_S
+from .smile import SmilePolicy, build_matching_index, choose_S
 
 POLICIES = {
     "uromm": UrommPolicy,
@@ -41,8 +41,6 @@ __all__ = [
     "OommPolicy",
     "OommState",
     "SmilePolicy",
-    "SmileState",
-    "MatchingIndex",
     "build_matching_index",
     "choose_S",
     "IsmilePolicy",

@@ -1,11 +1,17 @@
 """Interleaved variant of the cluster-sampling matchmaker.
 
 Exploration and exploitation run together from round 1 instead of as
-separate phases.  Per arriving boy, in priority order: probe a girl from a
-cluster he is known to like; probe one girl of a cluster whose preference is
-still unknown (one probe decides the whole cluster); answer a girl who
-already liked him; serve the cluster-estimation cursor; else prefer unknowns
-over exhausted options.  Girls are served symmetrically.
+separate phases.  Per arriving user, in priority order: probe a
+counterpart from a cluster the user is known to like; probe one member of a
+cluster whose preference is still unknown (one probe decides the whole
+cluster); answer a counterpart who already liked the user; serve the
+cluster-estimation cursor; else prefer unknowns over exhausted options.
+
+The policy is written once for both sides.  Each side is an ``IsmileSide``:
+its users' revealed rows, the ``SideClusters`` of its users (fed every sign
+they receive), and each user's view of the other side's clusters.  The
+engine's four entry points pass the arriving user's side and the other side
+to ``_select`` and ``_observe``.
 
 Differences from the phased policy: the sampling size is S + ceil(sqrt(S ln n)),
 and the cluster-membership test forgives mismatches on up to a 1/ln n
@@ -18,75 +24,32 @@ from __future__ import annotations
 import math
 
 from .base import MatchmakerPolicy, lowest_unqueried
-from .smile import feedback_agrees, s_bounds
+from .clusters import PolicySide, make_sides
+from .smile import s_bounds
 
 
-class _SideClusters:
-    """Cluster bookkeeping for one target side (say girls, rated by boys)."""
+class IsmileSide(PolicySide):
+    """One side of ismile.
 
-    __slots__ = (
-        "n", "s_prime", "half_n", "tol", "order", "cursor",
-        "f", "pos", "candidate", "cid_of", "members", "reps",
-    )
+    Per user x: ``likers[x]`` and ``opin[x]`` are the counterparts whose
+    observed sign toward x is a like, or known at all.  ``cpref[x]`` maps
+    the other side's cluster ids to x's sign for them, ``toask[x]`` queues
+    the clusters still unknown to x, ``exploit[x]`` lists the liked ones
+    and ``eptr[x]`` holds a forward pointer into each.  ``ctx`` is the
+    (user, cluster) of a pending one-probe decision.
+    """
 
-    def __init__(self, n, s_prime, half_n, tol, order):
-        self.n = n
-        self.s_prime = s_prime
-        self.half_n = half_n
-        self.tol = tol
-        self.order = order
-        self.cursor = 0
-        self.f = [0] * n       # distinct raters bitset per user
-        self.pos = [0] * n
-        self.candidate = [0] * n
-        self.cid_of: dict[int, int] = {}
-        self.members: list[list[int]] = []
-        self.reps: list[int] = []
+    __slots__ = ("likers", "opin", "cpref", "toask", "exploit", "eptr", "ctx")
 
-    def processed(self, u: int) -> bool:
-        return u in self.cid_of
-
-    def cursor_user(self) -> int | None:
-        order = self.order
-        while self.cursor < self.n and order[self.cursor] in self.cid_of:
-            self.cursor += 1
-        if self.cursor < self.n:
-            return order[self.cursor]
-        return None
-
-    def add_feedback(self, u: int, rater: int, sign: int):
-        """Record one distinct rating about u.  Returns a cluster event:
-        ("classified", u, cid) | ("promoted", u, cid) | None."""
-        bit = 1 << rater
-        if self.f[u] & bit:
-            return None
-        self.f[u] |= bit
-        if sign > 0:
-            self.pos[u] |= bit
-        if u in self.cid_of:
-            return None
-        count = self.f[u].bit_count()
-        if count == self.s_prime and not self.candidate[u]:
-            cid = self._match_existing(u)
-            if cid is not None:
-                self.cid_of[u] = cid
-                self.members[cid].append(u)
-                return ("classified", u, cid)
-            self.candidate[u] = 1
-        if count == self.half_n:
-            cid = len(self.members)
-            self.reps.append(u)
-            self.cid_of[u] = cid
-            self.members.append([u])
-            return ("promoted", u, cid)
-        return None
-
-    def _match_existing(self, u: int) -> int | None:
-        f, pos = self.f[u], self.pos[u]
-        for cid, rep in enumerate(self.reps):
-            if feedback_agrees(f, pos, self.f[rep], self.pos[rep], self.tol):
-                return cid
-        return None
+    def __init__(self, n, clusters):
+        super().__init__(n, clusters)
+        self.likers = [0] * n
+        self.opin = [0] * n
+        self.cpref: list[dict[int, int]] = [dict() for _ in range(n)]
+        self.toask: list[dict[int, None]] = [dict() for _ in range(n)]
+        self.exploit: list[list[int]] = [[] for _ in range(n)]
+        self.eptr: list[dict[int, int]] = [dict() for _ in range(n)]
+        self.ctx: tuple[int, int] | None = None
 
 
 class IsmilePolicy(MatchmakerPolicy):
@@ -111,241 +74,133 @@ class IsmilePolicy(MatchmakerPolicy):
         self.S = S
         self.s_prime = S + math.ceil(math.sqrt(S * ln))
         self.tol = (1.0 / ln) if self.forced_tol is None else float(self.forced_tol)
-        half_n = (n + 1) // 2
-
-        order_g = list(range(n))
-        order_b = list(range(n))
-        rng.shuffle(order_b)
-        rng.shuffle(order_g)
-        self.girls = _SideClusters(n, self.s_prime, half_n, self.tol, order_g)
-        self.boys = _SideClusters(n, self.s_prime, half_n, self.tol, order_b)
-
         self.full = (1 << n) - 1
-        self.obs_bg = [0] * n
-        self.pos_bg = [0] * n
-        self.obs_gb = [0] * n
-        self.pos_gb = [0] * n
-        self.likers_of_boy = [0] * n   # girls with observed like toward b
-        self.likers_of_girl = [0] * n
-        self.opin_of_boy = [0] * n     # girls whose sign toward b is known
-        self.opin_of_girl = [0] * n
+        self.boys, self.girls = make_sides(IsmileSide, n, rng, self.s_prime, self.tol)
 
-        # per-boy view of girl clusters
-        self.b_cpref: list[dict[int, int]] = [dict() for _ in range(n)]
-        self.b_toask: list[dict[int, None]] = [dict() for _ in range(n)]
-        self.b_exploit: list[list[int]] = [[] for _ in range(n)]
-        self.b_eptr: list[dict[int, int]] = [dict() for _ in range(n)]
-        # per-girl view of boy clusters
-        self.g_cpref: list[dict[int, int]] = [dict() for _ in range(n)]
-        self.g_toask: list[dict[int, None]] = [dict() for _ in range(n)]
-        self.g_exploit: list[list[int]] = [[] for _ in range(n)]
-        self.g_eptr: list[dict[int, int]] = [dict() for _ in range(n)]
-
-        self._ctx_boy: tuple[int, int] | None = None  # (boy, girl-cid) being probed
-        self._ctx_girl: tuple[int, int] | None = None
-
-    # ------------------------------------------------------------ selects
     def select_for_boy(self, b, t):
-        obs = self.obs_bg[b]
-        members = self.girls.members
+        return self._select(self.boys, self.girls, b)
 
-        # clusters b is known to like, forward pointer per cluster
-        eptr = self.b_eptr[b]
-        for cid in self.b_exploit[b]:
+    def select_for_girl(self, g, t):
+        return self._select(self.girls, self.boys, g)
+
+    def observe_boy_feedback(self, b, g, sign, t):
+        self._observe(self.boys, self.girls, b, g, sign)
+
+    def observe_girl_feedback(self, g, b, sign, t):
+        self._observe(self.girls, self.boys, g, b, sign)
+
+    # ------------------------------------------------------------ one half-round
+    def _select(self, me, other, x):
+        obs = me.obs[x]
+        target = other.clusters
+        members = target.members
+
+        # clusters x is known to like, forward pointer per cluster
+        eptr = me.eptr[x]
+        for cid in me.exploit[x]:
             mem = members[cid]
             ptr = eptr.get(cid, 0)
             while ptr < len(mem):
-                g = mem[ptr]
-                if not (obs >> g) & 1:
+                y = mem[ptr]
+                if not (obs >> y) & 1:
                     eptr[cid] = ptr
-                    return g
+                    return y
                 ptr += 1
             eptr[cid] = ptr
 
         # one probe decides an unknown cluster
-        toask = self.b_toask[b]
+        toask = me.toask[x]
         while toask:
             cid = next(iter(toask))
             sel = None
-            for g in members[cid]:
-                if not (obs >> g) & 1:
-                    sel = g
+            for y in members[cid]:
+                if not (obs >> y) & 1:
+                    sel = y
                     break
             if sel is None:
                 # every member already queried: derive the preference directly
                 del toask[cid]
-                self._set_boy_cpref(b, cid, 1 if (self.pos_bg[b] >> members[cid][0]) & 1 else -1)
+                self._set_cpref(me, x, cid, 1 if (me.pos[x] >> members[cid][0]) & 1 else -1)
                 continue
-            self._ctx_boy = (b, cid)
+            me.ctx = (x, cid)
             return sel
 
         # reciprocate discovered likes
-        m = self.likers_of_boy[b] & ~obs & self.full
+        m = me.likers[x] & ~obs & self.full
         if m:
             return (m & -m).bit_length() - 1
 
         # cluster-estimation cursor
-        cursor = self.girls.cursor_user()
-        if cursor is not None:
-            return cursor
+        if target.cursor < self.n:
+            return target.order[target.cursor]
 
-        # prefer girls whose opinion of b is still unknown
-        m = ~self.opin_of_boy[b] & ~obs & self.full
+        # prefer counterparts whose opinion of x is still unknown
+        m = ~me.opin[x] & ~obs & self.full
         if m:
             return (m & -m).bit_length() - 1
         return lowest_unqueried(obs, self.n)
 
-    def select_for_girl(self, g, t):
-        obs = self.obs_gb[g]
-        members = self.boys.members
-
-        eptr = self.g_eptr[g]
-        for cid in self.g_exploit[g]:
-            mem = members[cid]
-            ptr = eptr.get(cid, 0)
-            while ptr < len(mem):
-                b = mem[ptr]
-                if not (obs >> b) & 1:
-                    eptr[cid] = ptr
-                    return b
-                ptr += 1
-            eptr[cid] = ptr
-
-        toask = self.g_toask[g]
-        while toask:
-            cid = next(iter(toask))
-            sel = None
-            for b in members[cid]:
-                if not (obs >> b) & 1:
-                    sel = b
-                    break
-            if sel is None:
-                del toask[cid]
-                self._set_girl_cpref(g, cid, 1 if (self.pos_gb[g] >> members[cid][0]) & 1 else -1)
-                continue
-            self._ctx_girl = (g, cid)
-            return sel
-
-        m = self.likers_of_girl[g] & ~obs & self.full
-        if m:
-            return (m & -m).bit_length() - 1
-
-        cursor = self.boys.cursor_user()
-        if cursor is not None:
-            return cursor
-
-        m = ~self.opin_of_girl[g] & ~obs & self.full
-        if m:
-            return (m & -m).bit_length() - 1
-        return lowest_unqueried(obs, self.n)
-
-    # ------------------------------------------------------------ feedback
-    def observe_boy_feedback(self, b, g, sign, t):
-        bit = 1 << g
-        if not self.obs_bg[b] & bit:
-            self.obs_bg[b] |= bit
+    def _observe(self, me, other, x, y, sign):
+        bit = 1 << y
+        if not me.obs[x] & bit:
+            me.obs[x] |= bit
             if sign > 0:
-                self.pos_bg[b] |= bit
-                self.likers_of_girl[g] |= 1 << b
-            self.opin_of_girl[g] |= 1 << b
+                me.pos[x] |= bit
+                other.likers[y] |= 1 << x
+            other.opin[y] |= 1 << x
 
-        ctx = self._ctx_boy
+        ctx = me.ctx
         if ctx is not None:
-            self._ctx_boy = None
-            cb, cid = ctx
-            if cb == b:
-                self.b_toask[b].pop(cid, None)
-                self._set_boy_cpref(b, cid, sign)
+            me.ctx = None
+            cx, cid = ctx
+            if cx == x:
+                me.toask[x].pop(cid, None)
+                self._set_cpref(me, x, cid, sign)
 
-        event = self.girls.add_feedback(g, b, sign)
+        event = other.clusters.add_feedback(y, x, sign)
         if event is not None:
-            self._on_girl_cluster_event(event)
-
-    def observe_girl_feedback(self, g, b, sign, t):
-        bit = 1 << b
-        if not self.obs_gb[g] & bit:
-            self.obs_gb[g] |= bit
-            if sign > 0:
-                self.pos_gb[g] |= bit
-                self.likers_of_boy[b] |= 1 << g
-            self.opin_of_boy[b] |= 1 << g
-
-        ctx = self._ctx_girl
-        if ctx is not None:
-            self._ctx_girl = None
-            cg, cid = ctx
-            if cg == g:
-                self.g_toask[g].pop(cid, None)
-                self._set_girl_cpref(g, cid, sign)
-
-        event = self.boys.add_feedback(b, g, sign)
-        if event is not None:
-            self._on_boy_cluster_event(event)
+            self._on_cluster_event(me, other.clusters, event)
 
     # ------------------------------------------------------------ events
-    def _set_boy_cpref(self, b, cid, sign):
-        pref = self.b_cpref[b]
+    def _set_cpref(self, me, x, cid, sign):
+        pref = me.cpref[x]
         if cid not in pref:
             pref[cid] = sign
             if sign > 0:
-                self.b_exploit[b].append(cid)
+                me.exploit[x].append(cid)
 
-    def _set_girl_cpref(self, g, cid, sign):
-        pref = self.g_cpref[g]
-        if cid not in pref:
-            pref[cid] = sign
-            if sign > 0:
-                self.g_exploit[g].append(cid)
-
-    def _on_girl_cluster_event(self, event):
-        kind, g, cid = event
-        f = self.girls.f[g]
-        pos = self.girls.pos[g]
+    def _on_cluster_event(self, me, target, event):
+        """A cluster of the other side (``target``) formed or grew from ``me``'s feedback."""
+        kind, y, cid = event
+        f = target.f[y]
+        pos = target.pos[y]
         if kind == "promoted":
-            # every boy learns about the new cluster: raters by their sign,
+            # every user learns about the new cluster: raters by their sign,
             # the rest get it queued as unknown
-            for b in range(self.n):
-                if (f >> b) & 1:
-                    self._set_boy_cpref(b, cid, 1 if (pos >> b) & 1 else -1)
-                elif cid not in self.b_cpref[b]:
-                    self.b_toask[b][cid] = None
+            for x in range(self.n):
+                if (f >> x) & 1:
+                    self._set_cpref(me, x, cid, 1 if (pos >> x) & 1 else -1)
+                elif cid not in me.cpref[x]:
+                    me.toask[x][cid] = None
             return
-        # classified: her raters now know their sign for this cluster
+        # classified: the new member's raters now know their sign for this cluster
         m = f
         while m:
             low = m & -m
-            b = low.bit_length() - 1
+            x = low.bit_length() - 1
             m ^= low
-            self.b_toask[b].pop(cid, None)
-            self._set_boy_cpref(b, cid, 1 if (pos >> b) & 1 else -1)
-
-    def _on_boy_cluster_event(self, event):
-        kind, b, cid = event
-        f = self.boys.f[b]
-        pos = self.boys.pos[b]
-        if kind == "promoted":
-            for g in range(self.n):
-                if (f >> g) & 1:
-                    self._set_girl_cpref(g, cid, 1 if (pos >> g) & 1 else -1)
-                elif cid not in self.g_cpref[g]:
-                    self.g_toask[g][cid] = None
-            return
-        m = f
-        while m:
-            low = m & -m
-            g = low.bit_length() - 1
-            m ^= low
-            self.g_toask[g].pop(cid, None)
-            self._set_girl_cpref(g, cid, 1 if (pos >> g) & 1 else -1)
+            me.toask[x].pop(cid, None)
+            self._set_cpref(me, x, cid, 1 if (pos >> x) & 1 else -1)
 
     # ------------------------------------------------------------ reporting
     def diagnostics(self):
+        girls, boys = self.girls.clusters, self.boys.clusters
         return {
             "S": self.S,
             "S_prime": self.s_prime,
             "tolerance": self.tol,
-            "c_g": len(self.girls.reps),
-            "c_b": len(self.boys.reps),
-            "girls_clustered": len(self.girls.cid_of),
-            "boys_clustered": len(self.boys.cid_of),
+            "c_g": len(girls.reps),
+            "c_b": len(boys.reps),
+            "girls_clustered": len(girls.cid_of),
+            "boys_clustered": len(boys.cid_of),
         }

@@ -10,6 +10,13 @@ distinct signs and promotes them to representative.  Phase II serves each
 arrival the next counterpart estimated mutual from representative feedback,
 through a compact cluster-grid index with forward-only pointers.
 
+The algorithm is written once for both sides.  Each side is a ``SmileSide``:
+its users' revealed rows, their ``SideClusters`` (fed only at the cursor
+user, which keeps phase I in strict cursor order), and the side's half of
+the cluster grid with its walk pointers.  The engine's four entry points
+pass the arriving user's side and the other side to ``_select`` and
+``_observe``.
+
 All logarithms are natural; S' = 2S + 4*ceil(sqrt(S ln n)).
 """
 
@@ -17,9 +24,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 from .base import MatchmakerPolicy, lowest_unqueried
+from .clusters import PolicySide, make_sides
 from .random_baselines import OommPolicy
 
 PHASE_ESTIMATE = "estimate_m"
@@ -53,156 +60,62 @@ def choose_S(m_hat: int, n: int, gamma: float = 1.0) -> tuple[int, int]:
     return S, s_prime_for(S, n)
 
 
-def feedback_agrees(f_a: int, pos_a: int, f_b: int, pos_b: int, tol_frac: float) -> bool:
-    """Do two users' observed feedback columns agree on their common raters?
+class SmileSide(PolicySide):
+    """One side of smile.
 
-    With tol_frac > 0, mismatches on up to floor(tol_frac * |common|)
-    entries are forgiven.
-    """
-    common = f_a & f_b
-    diff = (pos_a ^ pos_b) & common
-    if tol_frac <= 0.0:
-        return diff == 0
-    return diff.bit_count() <= int(common.bit_count() * tol_frac)
-
-
-@dataclass
-class SmileState:
-    """Everything the policy carries between rounds."""
-
-    phase: str
-    S: int | None
-    S_prime: int | None
-    half_n: int
-    order_g: list[int]  # shuffled processing order, cursor side G
-    order_b: list[int]
-    cursor_i: int = 0
-    cursor_j: int = 0
-    f_girl: list[int] = field(default_factory=list)  # raters bitset per girl
-    pos_girl: list[int] = field(default_factory=list)
-    f_boy: list[int] = field(default_factory=list)
-    pos_boy: list[int] = field(default_factory=list)
-    reps_g: list[int] = field(default_factory=list)  # promotion order
-    reps_b: list[int] = field(default_factory=list)
-    r_girl: list[int] = field(default_factory=list)  # candidate flags
-    r_boy: list[int] = field(default_factory=list)
-    cluster_g: dict[int, int] = field(default_factory=dict)  # girl -> rep girl
-    cluster_b: dict[int, int] = field(default_factory=dict)
-    m_hat: int | None = None
-    m_hat_degenerate: bool = False
-    phase0_rounds: int = 0
-
-
-@dataclass
-class MatchingIndex:
-    """Cluster-grid estimate of the matching graph, plus walk pointers.
-
-    Cell (i, j) holds the ascending list of cluster-i boys that like girl
-    cluster j and the cluster-j girls that like boy cluster i; a pair is an
-    estimated match iff it appears on both lists of its cell.  Pointers only
-    move forward, so each stored item is visited at most once per user.
+    Phase 0 delegates to the baseline's methods for this side.  The cluster
+    grid of phase II is split between the two sides: ``cells[i][j]`` is the
+    ascending list of this side's cluster-i users who liked the
+    representative of the other side's cluster j, and ``rep_order[i]``
+    represents this side's cluster i.  A pair is an estimated match iff
+    each user is on the other's cell: x in ``cells[i][j]`` and y in the
+    other side's ``cells[j][i]``.  ``ptr_cell``/``ptr_off`` only move
+    forward, so each stored item is visited at most once per user.
     """
 
-    c_b: int
-    c_g: int
-    rep_order_b: list[int]
-    rep_order_g: list[int]
-    a_b: list[int]  # boy -> cluster id
-    a_g: list[int]
-    members_b: list[list[int]]
-    members_g: list[list[int]]
-    l_b: list[list[list[int]]]  # [i][j] -> boys
-    l_g: list[list[list[int]]]  # [i][j] -> girls
-    ptr_cell_b: list[int]
-    ptr_off_b: list[int]
-    ptr_cell_g: list[int]
-    ptr_off_g: list[int]
-    build_ops: int = 0
+    __slots__ = ("p0_select", "p0_observe", "a", "rep_order", "cells", "ptr_cell", "ptr_off")
 
-    def estimated_partners_of_boy(self, b: int) -> list[int]:
-        """All girls this index would ever serve to b (ignores pointers)."""
-        i = self.a_b[b]
-        out = []
-        for j in range(self.c_g):
-            lb = self.l_b[i][j]
-            k = bisect_left(lb, b)
-            if k < len(lb) and lb[k] == b:
-                out.extend(self.l_g[i][j])
-        return out
-
-    def estimated_partners_of_girl(self, g: int) -> list[int]:
-        j = self.a_g[g]
-        out = []
-        for i in range(self.c_b):
-            lg = self.l_g[i][j]
-            k = bisect_left(lg, g)
-            if k < len(lg) and lg[k] == g:
-                out.extend(self.l_b[i][j])
-        return out
+    def __init__(self, n, clusters):
+        super().__init__(n, clusters)
+        self.p0_select = self.p0_observe = None
+        self.a: list[int] = []  # user -> cluster id (rank of its representative)
+        self.rep_order: list[int] = []
+        self.cells: list[list[list[int]]] = []
+        self.ptr_cell = [-1] * n
+        self.ptr_off = [0] * n
 
 
-def build_matching_index(state: SmileState, n: int) -> MatchingIndex:
+def build_matching_index(boys: SmileSide, girls: SmileSide, n: int) -> int:
     """One-pass construction of the cluster grid from representative feedback.
 
     Representatives are ordered by their observed feedback column
     (bitset value: a fixed lexicographic order), cluster ids are ranks in
-    that order.  Work is counted in ``build_ops`` and stays O(n (C^G + C^B)).
+    that order.  Fills both sides' ``a``, ``rep_order`` and ``cells``;
+    returns the work done, which stays O(n (C^G + C^B)).
     """
-    if state.cursor_i < n or state.cursor_j < n:
+    if boys.clusters.cursor < n or girls.clusters.cursor < n:
         raise RuntimeError("cluster estimation is not finished")
     ops = 0
-
-    rep_g = sorted(state.reps_g, key=lambda g: (state.pos_girl[g], g))
-    rep_b = sorted(state.reps_b, key=lambda b: (state.pos_boy[b], b))
-    c_g = len(rep_g)
-    c_b = len(rep_b)
-    rank_g = {r: j for j, r in enumerate(rep_g)}
-    rank_b = {r: i for i, r in enumerate(rep_b)}
-
-    a_g = [rank_g[state.cluster_g[g]] for g in range(n)]
-    a_b = [rank_b[state.cluster_b[b]] for b in range(n)]
-    members_g: list[list[int]] = [[] for _ in range(c_g)]
-    members_b: list[list[int]] = [[] for _ in range(c_b)]
-    for g in range(n):
-        members_g[a_g[g]].append(g)
-    for b in range(n):
-        members_b[a_b[b]].append(b)
-    ops += 2 * n
-
-    l_b = [[[] for _ in range(c_g)] for _ in range(c_b)]
-    l_g = [[[] for _ in range(c_g)] for _ in range(c_b)]
+    for side in (boys, girls):
+        cl = side.clusters
+        side.rep_order = sorted(cl.reps, key=lambda u: (cl.pos[u], u))
+        rank = {r: i for i, r in enumerate(side.rep_order)}
+        rank_of_cid = [rank[r] for r in cl.reps]
+        side.a = [rank_of_cid[cl.cid_of[u]] for u in range(n)]
+        ops += n
     # one read per (user, opposite-side representative)
-    for b in range(n):
-        i = a_b[b]
-        row = l_b[i]
-        for j, rg in enumerate(rep_g):
-            ops += 1
-            if (state.f_girl[rg] >> b) & 1 and (state.pos_girl[rg] >> b) & 1:
-                row[j].append(b)
-    for g in range(n):
-        j = a_g[g]
-        for i, rb in enumerate(rep_b):
-            ops += 1
-            if (state.f_boy[rb] >> g) & 1 and (state.pos_boy[rb] >> g) & 1:
-                l_g[i][j].append(g)
-
-    return MatchingIndex(
-        c_b=c_b,
-        c_g=c_g,
-        rep_order_b=rep_b,
-        rep_order_g=rep_g,
-        a_b=a_b,
-        a_g=a_g,
-        members_b=members_b,
-        members_g=members_g,
-        l_b=l_b,
-        l_g=l_g,
-        ptr_cell_b=[-1] * n,
-        ptr_off_b=[0] * n,
-        ptr_cell_g=[-1] * n,
-        ptr_off_g=[0] * n,
-        build_ops=ops,
-    )
+    for side, other in ((boys, girls), (girls, boys)):
+        side.cells = [[[] for _ in other.rep_order] for _ in side.rep_order]
+        a = side.a
+        for j, r in enumerate(other.rep_order):
+            ops += n
+            m = other.clusters.pos[r]  # this side's users who liked r
+            while m:
+                low = m & -m
+                x = low.bit_length() - 1
+                side.cells[a[x]][j].append(x)
+                m ^= low
+    return ops
 
 
 class SmilePolicy(MatchmakerPolicy):
@@ -222,284 +135,153 @@ class SmilePolicy(MatchmakerPolicy):
 
     def start(self, n, T, rng):
         super().start(n, T, rng)
-        order_g = list(range(n))
-        order_b = list(range(n))
-        rng.shuffle(order_b)
-        rng.shuffle(order_g)
-        self.full = (1 << n) - 1
-        # own view of revealed edges, all phases
-        self.obs_bg = [0] * n
-        self.pos_bg = [0] * n
-        self.obs_gb = [0] * n
-        self.pos_gb = [0] * n
-
-        st = SmileState(
-            phase=PHASE_ESTIMATE,
-            S=None,
-            S_prime=None,
-            half_n=(n + 1) // 2,
-            order_g=order_g,
-            order_b=order_b,
-            f_girl=[0] * n,
-            pos_girl=[0] * n,
-            f_boy=[0] * n,
-            pos_boy=[0] * n,
-            r_girl=[0] * n,
-            r_boy=[0] * n,
-        )
-        self.state = st
-        self.index: MatchingIndex | None = None
+        # S' is set once phase 0 has fixed S; nothing is clustered before
+        self.boys, self.girls = make_sides(SmileSide, n, rng, None, self.tolerance)
+        self.phase = PHASE_ESTIMATE
+        self.S = self.S_prime = self.m_hat = None
+        self.m_hat_degenerate = False
+        self.phase0_rounds = 0
+        self.build_ops: int | None = None
         self.phase2_ops = 0
 
         if self.forced_S is not None:
             lo, hi = s_bounds(n)
-            st.S = max(lo, min(hi, int(self.forced_S)))
-            st.S_prime = s_prime_for(st.S, n)
-            st.phase = PHASE_CLUSTER
-            self._oomm = None
+            S = max(lo, min(hi, int(self.forced_S)))
+            self._enter_clustering(S, s_prime_for(S, n))
         else:
-            self._oomm = OommPolicy()
-            self._oomm.start(n, T, rng)
+            oomm = OommPolicy()
+            oomm.start(n, T, rng)
+            self.boys.p0_select = oomm.select_for_boy
+            self.boys.p0_observe = oomm.observe_boy_feedback
+            self.girls.p0_select = oomm.select_for_girl
+            self.girls.p0_observe = oomm.observe_girl_feedback
             self._p0_k0 = math.ceil(8 * math.log(n)) if n > 1 else 1
-            self._p0_halfrounds = 0
-            self._p0_pairs = 0
-            self._p0_matches = 0
+            self._p0_halfrounds = self._p0_pairs = self._p0_matches = 0
 
-    # ---------------------------------------------------------- selection
     def select_for_boy(self, b, t):
-        st = self.state
-        phase = st.phase
-        if phase == PHASE_ESTIMATE:
-            return self._oomm.select_for_boy(b, t)
-        if phase == PHASE_CLUSTER:
-            if st.cursor_i >= self.n and st.cursor_j >= self.n:
-                self._enter_matching()
-            else:
-                if st.cursor_i < self.n:
-                    return st.order_g[st.cursor_i]
-                return lowest_unqueried(self.obs_bg[b], self.n)
-        g = self._walk_boy(b)
-        if g is not None:
-            return g
-        return lowest_unqueried(self.obs_bg[b], self.n)
+        return self._select(self.boys, self.girls, b, t)
 
     def select_for_girl(self, g, t):
-        st = self.state
-        phase = st.phase
-        if phase == PHASE_ESTIMATE:
-            return self._oomm.select_for_girl(g, t)
-        if phase == PHASE_CLUSTER:
-            if st.cursor_i >= self.n and st.cursor_j >= self.n:
-                self._enter_matching()
-            else:
-                if st.cursor_j < self.n:
-                    return st.order_b[st.cursor_j]
-                return lowest_unqueried(self.obs_gb[g], self.n)
-        b = self._walk_girl(g)
-        if b is not None:
-            return b
-        return lowest_unqueried(self.obs_gb[g], self.n)
+        return self._select(self.girls, self.boys, g, t)
 
-    # ---------------------------------------------------------- feedback
     def observe_boy_feedback(self, b, g, sign, t):
-        bit = 1 << g
-        if not self.obs_bg[b] & bit:
-            self.obs_bg[b] |= bit
-            if sign > 0:
-                self.pos_bg[b] |= bit
-            if (self.obs_gb[g] >> b) & 1 and self.state.phase == PHASE_ESTIMATE:
-                self._p0_pairs += 1
-                if sign > 0 and (self.pos_gb[g] >> b) & 1:
-                    self._p0_matches += 1
-        st = self.state
-        if st.phase == PHASE_ESTIMATE:
-            self._oomm.observe_boy_feedback(b, g, sign, t)
-            self._phase0_tick()
-            return
-        if st.phase == PHASE_CLUSTER and st.cursor_i < self.n and g == st.order_g[st.cursor_i]:
-            self._feed_cursor_girl(b, g, sign)
+        self._observe(self.boys, self.girls, b, g, sign, t)
 
     def observe_girl_feedback(self, g, b, sign, t):
-        bit = 1 << b
-        if not self.obs_gb[g] & bit:
-            self.obs_gb[g] |= bit
-            if sign > 0:
-                self.pos_gb[g] |= bit
-            if (self.obs_bg[b] >> g) & 1 and self.state.phase == PHASE_ESTIMATE:
-                self._p0_pairs += 1
-                if sign > 0 and (self.pos_bg[b] >> g) & 1:
-                    self._p0_matches += 1
-        st = self.state
-        if st.phase == PHASE_ESTIMATE:
-            self._oomm.observe_girl_feedback(g, b, sign, t)
-            self._phase0_tick()
-            return
-        if st.phase == PHASE_CLUSTER and st.cursor_j < self.n and b == st.order_b[st.cursor_j]:
-            self._feed_cursor_boy(g, b, sign)
+        self._observe(self.girls, self.boys, g, b, sign, t)
 
-    # ---------------------------------------------------------- phase 0
+    # ---------------------------------------------------------- one half-round
+    def _select(self, me, other, x, t):
+        phase = self.phase
+        if phase == PHASE_ESTIMATE:
+            return me.p0_select(x, t)
+        if phase == PHASE_CLUSTER:
+            target = other.clusters
+            if target.cursor < self.n:
+                return target.order[target.cursor]
+            if me.clusters.cursor < self.n:
+                return lowest_unqueried(me.obs[x], self.n)
+            self._enter_matching()
+        y = self._walk(me, other, x)
+        if y is not None:
+            return y
+        return lowest_unqueried(me.obs[x], self.n)
+
+    def _observe(self, me, other, x, y, sign, t):
+        phase = self.phase
+        bit = 1 << y
+        if not me.obs[x] & bit:
+            me.obs[x] |= bit
+            if sign > 0:
+                me.pos[x] |= bit
+            if phase == PHASE_ESTIMATE and (other.obs[y] >> x) & 1:
+                self._p0_pairs += 1
+                if sign > 0 and (other.pos[y] >> x) & 1:
+                    self._p0_matches += 1
+        if phase == PHASE_ESTIMATE:
+            me.p0_observe(x, y, sign, t)
+            self._phase0_tick()
+        elif phase == PHASE_CLUSTER:
+            target = other.clusters
+            if target.cursor < self.n and y == target.order[target.cursor]:
+                target.add_feedback(y, x, sign)
+
+    # ---------------------------------------------------------- phase transitions
     def _phase0_tick(self):
         self._p0_halfrounds += 1
         n = self.n
         if self._p0_matches >= self._p0_k0 or self._p0_halfrounds >= 2 * n * n:
-            st = self.state
-            st.phase0_rounds = (self._p0_halfrounds + 1) // 2
+            self.phase0_rounds = (self._p0_halfrounds + 1) // 2
             if self._p0_matches > 0 and self._p0_pairs > 0:
-                st.m_hat = max(1, round(self._p0_matches * n * n / self._p0_pairs))
+                self.m_hat = max(1, round(self._p0_matches * n * n / self._p0_pairs))
             else:
-                st.m_hat = 1
-                st.m_hat_degenerate = True
-            st.S, st.S_prime = choose_S(st.m_hat, n, self.gamma)
-            st.phase = PHASE_CLUSTER
+                self.m_hat = 1
+                self.m_hat_degenerate = True
+            self._enter_clustering(*choose_S(self.m_hat, n, self.gamma))
 
-    # ---------------------------------------------------------- phase I
-    def _feed_cursor_girl(self, b, g, sign):
-        st = self.state
-        bit = 1 << b
-        if st.f_girl[g] & bit:
-            return  # already counted: F is a set of distinct raters
-        st.f_girl[g] |= bit
-        if sign > 0:
-            st.pos_girl[g] |= bit
-        count = st.f_girl[g].bit_count()
-        if count == st.S_prime and not st.r_girl[g]:
-            rep = self._find_rep(st.f_girl[g], st.pos_girl[g], st.reps_g, st.f_girl, st.pos_girl)
-            if rep is not None:
-                st.cluster_g[g] = rep
-                st.cursor_i += 1
-                return
-            st.r_girl[g] = 1
-        if count == st.half_n:
-            st.reps_g.append(g)
-            st.cluster_g[g] = g
-            st.cursor_i += 1
-
-    def _feed_cursor_boy(self, g, b, sign):
-        st = self.state
-        bit = 1 << g
-        if st.f_boy[b] & bit:
-            return
-        st.f_boy[b] |= bit
-        if sign > 0:
-            st.pos_boy[b] |= bit
-        count = st.f_boy[b].bit_count()
-        if count == st.S_prime and not st.r_boy[b]:
-            rep = self._find_rep(st.f_boy[b], st.pos_boy[b], st.reps_b, st.f_boy, st.pos_boy)
-            if rep is not None:
-                st.cluster_b[b] = rep
-                st.cursor_j += 1
-                return
-            st.r_boy[b] = 1
-        if count == st.half_n:
-            st.reps_b.append(b)
-            st.cluster_b[b] = b
-            st.cursor_j += 1
-
-    def _find_rep(self, f, pos, reps, f_all, pos_all):
-        # first representative (in promotion order) agreeing on all common raters
-        tol = self.tolerance
-        for r in reps:
-            if feedback_agrees(f, pos, f_all[r], pos_all[r], tol):
-                return r
-        return None
+    def _enter_clustering(self, S, S_prime):
+        self.S, self.S_prime = S, S_prime
+        self.boys.clusters.s_prime = self.girls.clusters.s_prime = S_prime
+        self.phase = PHASE_CLUSTER
 
     def _enter_matching(self):
-        self.index = build_matching_index(self.state, self.n)
-        self.state.phase = PHASE_MATCH
+        self.build_ops = build_matching_index(self.boys, self.girls, self.n)
+        self.phase = PHASE_MATCH
 
     # ---------------------------------------------------------- phase II
-    def _walk_boy(self, b):
-        idx = self.index
-        i = idx.a_b[b]
-        j = idx.ptr_cell_b[b]
-        off = idx.ptr_off_b[b]
-        c_g = idx.c_g
-        if j >= c_g:
+    def _walk(self, me, other, x):
+        """Next unqueried counterpart estimated mutual with x, or None."""
+        i = me.a[x]
+        row = me.cells[i]
+        c = len(row)
+        j = me.ptr_cell[x]
+        if j >= c:
             return None
-        row_lg = idx.l_g[i]
-        row_lb = idx.l_b[i]
-        obs = self.obs_bg[b]
+        other_cells = other.cells
+        off = me.ptr_off[x]
+        obs = me.obs[x]
         ops = 0
         while True:
             if j >= 0:
-                lst = row_lg[j]
+                lst = other_cells[j][i]
                 while off < len(lst):
-                    g = lst[off]
+                    y = lst[off]
                     off += 1
                     ops += 1
-                    if not (obs >> g) & 1:
-                        idx.ptr_cell_b[b] = j
-                        idx.ptr_off_b[b] = off
+                    if not (obs >> y) & 1:
+                        me.ptr_cell[x] = j
+                        me.ptr_off[x] = off
                         self.phase2_ops += ops
-                        return g
+                        return y
             j += 1
-            while j < c_g:
-                lb = row_lb[j]
-                ops += max(1, len(lb).bit_length())  # binary-search cost proxy
-                if lb:
-                    k = bisect_left(lb, b)
-                    if k < len(lb) and lb[k] == b:
+            while j < c:
+                own = row[j]
+                ops += max(1, len(own).bit_length())  # binary-search cost proxy
+                if own:
+                    k = bisect_left(own, x)
+                    if k < len(own) and own[k] == x:
                         break
                 j += 1
-            if j >= c_g:
-                idx.ptr_cell_b[b] = c_g
-                idx.ptr_off_b[b] = 0
-                self.phase2_ops += ops
-                return None
-            off = 0
-
-    def _walk_girl(self, g):
-        idx = self.index
-        j = idx.a_g[g]
-        i = idx.ptr_cell_g[g]
-        off = idx.ptr_off_g[g]
-        c_b = idx.c_b
-        if i >= c_b:
-            return None
-        obs = self.obs_gb[g]
-        ops = 0
-        while True:
-            if i >= 0:
-                lst = idx.l_b[i][j]
-                while off < len(lst):
-                    b = lst[off]
-                    off += 1
-                    ops += 1
-                    if not (obs >> b) & 1:
-                        idx.ptr_cell_g[g] = i
-                        idx.ptr_off_g[g] = off
-                        self.phase2_ops += ops
-                        return b
-            i += 1
-            while i < c_b:
-                lg = idx.l_g[i][j]
-                ops += max(1, len(lg).bit_length())
-                if lg:
-                    k = bisect_left(lg, g)
-                    if k < len(lg) and lg[k] == g:
-                        break
-                i += 1
-            if i >= c_b:
-                idx.ptr_cell_g[g] = c_b
-                idx.ptr_off_g[g] = 0
+            if j >= c:
+                me.ptr_cell[x] = c
+                me.ptr_off[x] = 0
                 self.phase2_ops += ops
                 return None
             off = 0
 
     # ---------------------------------------------------------- reporting
     def diagnostics(self):
-        st = self.state
         out = {
-            "phase": st.phase,
-            "S": st.S,
-            "S_prime": st.S_prime,
-            "m_hat": st.m_hat,
-            "m_hat_degenerate": st.m_hat_degenerate,
-            "phase0_rounds": st.phase0_rounds,
-            "c_g": len(st.reps_g),
-            "c_b": len(st.reps_b),
+            "phase": self.phase,
+            "S": self.S,
+            "S_prime": self.S_prime,
+            "m_hat": self.m_hat,
+            "m_hat_degenerate": self.m_hat_degenerate,
+            "phase0_rounds": self.phase0_rounds,
+            "c_g": len(self.girls.clusters.reps),
+            "c_b": len(self.boys.clusters.reps),
             "phase2_ops": self.phase2_ops,
         }
-        if self.index is not None:
-            out["build_ops"] = self.index.build_ops
+        if self.build_ops is not None:
+            out["build_ops"] = self.build_ops
         return out

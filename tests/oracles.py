@@ -163,3 +163,20 @@ class ScriptedRng:
 
     def choice(self, items):
         return items[self.randint(len(items))]
+
+
+def cluster_bound_loop(prefs, side, s_prime):
+    """min(min_rho(C_{rho/2} + 3 rho S'), n), one fresh covering per radius."""
+    from matchlab.analysis import boy_side_covering, girl_side_covering
+
+    n = prefs.n
+    cover = girl_side_covering if side == "girl" else boy_side_covering
+    best = n
+    rho = 0
+    while rho <= n:
+        size = cover(prefs, rho // 2).size
+        best = min(best, size + 3 * rho * s_prime)
+        if 3 * rho * s_prime > best:
+            break
+        rho = max(rho + 1, int(rho * 1.5))
+    return best

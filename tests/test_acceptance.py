@@ -179,12 +179,12 @@ def test_criterion_06_smile_cluster_soundness():
         policy = make_policy("smile", S=S)
         r = run_protocol(prefs, policy, T, seed=seed, curve_stride=T)
         dominated(mg, r)
-        st = policy.state
-        s_prime = st.S_prime
-        if len(st.reps_g) == C and len(st.reps_b) == C:
+        s_prime = policy.S_prime
+        reps_g, reps_b = policy.girls.clusters.reps, policy.boys.clusters.reps
+        if len(reps_g) == C and len(reps_b) == C:
             exact += 1
-        if len(st.reps_g) > cluster_bound(prefs, "girl", s_prime) or len(
-            st.reps_b
+        if len(reps_g) > cluster_bound(prefs, "girl", s_prime) or len(
+            reps_b
         ) > cluster_bound(prefs, "boy", s_prime):
             bound_ok = False
     ok = exact >= 0.95 * seeds and bound_ok

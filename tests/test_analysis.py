@@ -25,7 +25,13 @@ from matchlab.analysis import (
 )
 from matchlab.rng import philox
 
-from oracles import exact_column_cover, hamming_bitloop, packing_lower_bound, two_pass_stats
+from oracles import (
+    cluster_bound_loop,
+    exact_column_cover,
+    hamming_bitloop,
+    packing_lower_bound,
+    two_pass_stats,
+)
 
 
 # ---------------------------------------------------------------- hamming
@@ -122,10 +128,42 @@ def test_cluster_bound_flags_reasonably():
     prefs = gen_clustered(spec)
     policy = make_policy("smile", S=5)
     run_protocol(prefs, policy, 15000, seed=0)
-    s_prime = policy.state.S_prime
+    s_prime = policy.S_prime
     bound_g = cluster_bound(prefs, "girl", s_prime)
-    assert len(policy.state.reps_g) <= bound_g
+    assert len(policy.girls.clusters.reps) <= bound_g
     assert bound_g <= 100
+
+
+@pytest.mark.parametrize("n", [60, 100])
+@pytest.mark.parametrize("flip", [0.0, 0.01, 0.03, None])
+def test_cluster_bound_matches_loop_oracle(n, flip):
+    prefs = gen_clustered(ClusteredSpec(n=n, c_b=5, c_g=6, flip=flip, seed=n))
+    for s_prime in (1, 2, 3, 86, 284):
+        for side in ("girl", "boy"):
+            assert cluster_bound(prefs, side, s_prime) == cluster_bound_loop(prefs, side, s_prime)
+
+
+def test_cluster_bound_one_covering_per_side(monkeypatch):
+    # the paper-scale instance at ismile's S' = 86: rho = 0 and 1 share the
+    # half-radius-0 covering and rho = 2 already has 3 rho S' > n
+    import matchlab.analysis as analysis
+
+    prefs = gen_clustered(ClusteredSpec(n=400, c_b=20, c_g=22, seed=0))
+    calls = []
+    real = analysis.greedy_covering
+
+    def counted(matrix, radius, **kw):
+        calls.append(radius)
+        return real(matrix, radius, **kw)
+
+    monkeypatch.setattr(analysis, "greedy_covering", counted)
+    for side in ("girl", "boy"):
+        calls.clear()
+        assert cluster_bound(prefs, side, 86) == 400
+        assert calls == [0]
+        calls.clear()
+        assert cluster_bound_loop(prefs, side, 86) == 400
+        assert calls == [0, 0, 1]
 
 
 # ---------------------------------------------------------------- agreement trials

@@ -217,3 +217,44 @@ def test_parse_config_validation(tmp_path):
     cfg.write_text("instance=x\npolicies=oomm\nT=10\nseeds=4,5,6\nout=o\n")
     conf = parse_config(cfg)
     assert conf.seeds == [4, 5, 6]
+
+
+def test_run_when_last_user_never_arrives(tmp_path):
+    # at T = 40 and n = 50 user 49 misses some seeds' arrivals on both sides;
+    # the yardstick must still size its network by the instance's n
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "clustered", "--n", 50, "--c-b", 5, "--c-g", 5, "--seed", 7, "--out", inst)
+    missing = 0
+    for seed in range(10):
+        r = run_protocol(read_instance(inst), make_policy("uromm"), 40, seed)
+        missing += max(r.trace.boy_arrivals.max(), r.trace.girl_arrivals.max()) < 49
+        cfg = write_config(tmp_path / f"cfg{seed}", instance=inst, policies="uromm", T=40,
+                           seeds=1, base_seed=seed, out=tmp_path / f"out{seed}")
+        assert run_cli("run", cfg) == 0, seed
+    assert missing >= 1  # the case is exercised
+
+
+def test_yardstick_rejects_trace_of_another_instance(tmp_path, capsys):
+    own, other = tmp_path / "seed7.txt", tmp_path / "seed8.txt"
+    for seed, path in ((7, own), (8, other)):
+        run_cli("gen", "clustered", "--n", 50, "--c-b", 5, "--c-g", 5, "--seed", seed, "--out", path)
+    r = run_protocol(read_instance(own), make_policy("uromm"), 600, seed=0)
+    tpath = tmp_path / "run.trace.csv"
+    write_trace(tpath, r.trace)
+    assert run_cli("yardstick", own, tpath) == 0
+    capsys.readouterr()
+    assert run_cli("yardstick", other, tpath) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "round " in err[0] and "sign" in err[0]
+
+
+def test_yardstick_rejects_index_outside_instance(tmp_path, capsys):
+    big, small = tmp_path / "big.txt", tmp_path / "small.txt"
+    run_cli("gen", "adversarial", "--n", 20, "--m", 60, "--seed", 0, "--out", big)
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", small)
+    r = run_protocol(read_instance(big), make_policy("uromm"), 200, seed=0)
+    tpath = tmp_path / "run.trace.csv"
+    write_trace(tpath, r.trace)
+    capsys.readouterr()
+    assert run_cli("yardstick", small, tpath) == 2
+    assert "outside" in capsys.readouterr().err

@@ -31,8 +31,8 @@ def test_all_dislike_no_crash_no_verified():
     policy = make_policy("ismile")
     r = run_protocol(prefs, policy, n * n, seed=0)
     assert r.ledger.matches == 0
-    assert all(not lst for lst in policy.b_exploit)
-    assert all(not lst for lst in policy.g_exploit)
+    assert all(not lst for lst in policy.boys.exploit)
+    assert all(not lst for lst in policy.girls.exploit)
 
 
 def test_defaults_and_overrides():
@@ -72,16 +72,17 @@ def test_cluster_preference_single_probe():
     policy = make_policy("ismile")
     policy.start(n, 100, _rng())
     # fabricate a discovered girl cluster with members 4 and 7
-    policy.girls.members.append([4, 7])
-    policy.girls.reps.append(4)
-    policy.girls.cid_of[4] = 0
-    policy.girls.cid_of[7] = 0
-    policy.b_toask[5][0] = None
+    girls = policy.girls.clusters
+    girls.members.append([4, 7])
+    girls.reps.append(4)
+    girls.cid_of[4] = 0
+    girls.cid_of[7] = 0
+    policy.boys.toask[5][0] = None
     g = policy.select_for_boy(5, 1)
     assert g == 4  # probes the unknown cluster first
     policy.observe_boy_feedback(5, 4, 1, 1)
-    assert policy.b_cpref[5][0] == 1
-    assert policy.b_exploit[5] == [0]
+    assert policy.boys.cpref[5][0] == 1
+    assert policy.boys.exploit[5] == [0]
     # next arrival exploits the verified cluster: remaining member 7
     assert policy.select_for_boy(5, 2) == 7
 
@@ -100,14 +101,15 @@ def test_ismile_matches_smile_clustering_when_noiseless():
     ismile = make_policy("ismile", S=S, tolerance=0.0)
     run_protocol(prefs, ismile, T, seed=21)
 
-    smile_reps = set(smile.state.reps_g)
-    ismile_reps = set(ismile.girls.reps)
+    s_girls, i_girls = smile.girls.clusters, ismile.girls.clusters
+    smile_reps = set(s_girls.reps)
+    ismile_reps = set(i_girls.reps)
     assert smile_reps == ismile_reps
     # identical partitions of the girls
     for g in range(n):
-        s_rep = smile.state.cluster_g[g]
-        i_cid = ismile.girls.cid_of[g]
-        assert ismile.girls.reps[i_cid] == s_rep
+        s_rep = s_girls.reps[s_girls.cid_of[g]]
+        i_cid = i_girls.cid_of[g]
+        assert i_girls.reps[i_cid] == s_rep
 
 
 def test_auc_beats_oomm_on_clustered_instance():

@@ -89,6 +89,16 @@ def test_monotone_in_capacity():
     assert more >= base
 
 
+def test_counts_sized_by_the_graph():
+    # users who never arrived past the largest arriving index count zero;
+    # a count for an index outside the graph is refused
+    mg = build_matching_graph(tiny_demo_instance())
+    short = ArrivalCounts((2, 1), (1, 2))
+    assert optimal_matches(mg, short) == optimal_matches(mg, ArrivalCounts((2, 1, 0, 0), (1, 2, 0, 0)))
+    with pytest.raises(InputError):
+        build_flow_network(mg, ArrivalCounts((0, 0, 0, 0, 1), (1, 0, 0, 0, 0)))
+
+
 def test_saturation_at_degree_capacity():
     for seed in (0, 1, 2):
         mg, _ = gen_random_bipartite(12, 0.3, seed)

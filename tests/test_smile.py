@@ -61,7 +61,7 @@ def test_phase0_all_match_instance():
     prefs = PreferenceMatrices(n, (full,) * n, (full,) * n)
     for seed in (0, 1, 2):
         policy, _ = run_smile(prefs, 2 * n * n, seed)
-        m_hat = policy.state.m_hat
+        m_hat = policy.m_hat
         assert m_hat is not None
         assert n * n / 4 <= m_hat <= 4 * n * n
 
@@ -70,9 +70,9 @@ def test_phase0_all_dislike_degenerate_floor():
     n = 12
     prefs = PreferenceMatrices(n, (0,) * n, (0,) * n)
     policy, _ = run_smile(prefs, 2 * n * n, 0)
-    assert policy.state.m_hat == 1
-    assert policy.state.m_hat_degenerate
-    assert policy.state.phase0_rounds <= n * n
+    assert policy.m_hat == 1
+    assert policy.m_hat_degenerate
+    assert policy.phase0_rounds <= n * n
 
 
 def test_phase0_constant_factor_monte_carlo():
@@ -82,8 +82,8 @@ def test_phase0_constant_factor_monte_carlo():
     for seed in range(100):
         policy = make_policy("smile")
         run_protocol(prefs, policy, 4000, seed)
-        if policy.state.m_hat is not None:
-            hats.append(policy.state.m_hat)
+        if policy.m_hat is not None:
+            hats.append(policy.m_hat)
     assert len(hats) >= 95  # phase 0 finishes well before T on this instance
     med = sorted(hats)[len(hats) // 2]
     assert m / 4 <= med <= 4 * m
@@ -93,9 +93,9 @@ def test_forced_s_skips_phase0():
     prefs = gen_adversarial_random(50, 100, 0)
     policy = make_policy("smile", S=5)
     run_protocol(prefs, policy, 10, seed=0)
-    assert policy.state.phase0_rounds == 0
-    assert policy.state.S == 5
-    assert policy.state.phase in (PHASE_CLUSTER, PHASE_MATCH)
+    assert policy.phase0_rounds == 0
+    assert policy.S == 5
+    assert policy.phase in (PHASE_CLUSTER, PHASE_MATCH)
 
 
 # ---------------------------------------------------------------- phase I
@@ -113,15 +113,15 @@ def test_identical_feedback_single_representative():
     n = 100
     prefs = identical_columns_instance(n)
     policy, _ = run_smile(prefs, 9000, seed=3, S=5)
-    st = policy.state
-    assert len(st.reps_g) == 1
-    s_prime = st.S_prime
-    rep = st.reps_g[0]
+    girls = policy.girls.clusters
+    assert len(girls.reps) == 1
+    s_prime = policy.S_prime
+    rep = girls.reps[0]
     for g in range(n):
-        assert g in st.cluster_g
+        assert g in girls.cid_of
         if g != rep:
-            assert st.f_girl[g].bit_count() == s_prime  # assigned right at the checkpoint
-    assert st.f_girl[rep].bit_count() == (n + 1) // 2
+            assert girls.f[g].bit_count() == s_prime  # assigned right at the checkpoint
+    assert girls.f[rep].bit_count() == (n + 1) // 2
 
 
 def two_column_instance(n):
@@ -134,13 +134,13 @@ def test_two_distinct_columns_two_representatives():
     n = 100
     prefs = two_column_instance(n)
     policy, _ = run_smile(prefs, 12000, seed=1, S=5)
-    st = policy.state
-    assert len(st.reps_g) == 2
+    girls = policy.girls.clusters
+    assert len(girls.reps) == 2
     # the two representatives disagree on every common rater
-    a, b = st.reps_g
+    a, b = girls.reps
     assert (a % 2) != (b % 2)
     for g in range(n):
-        assert st.cluster_g[g] % 2 == g % 2  # assigned to the matching parity
+        assert girls.reps[girls.cid_of[g]] % 2 == g % 2  # assigned to the matching parity
 
 
 def test_clustered_representative_recovery():
@@ -149,7 +149,7 @@ def test_clustered_representative_recovery():
     hits = 0
     for seed in range(10):
         policy, _ = run_smile(prefs, 12000, seed=seed, S=math.ceil(math.log(100)))
-        if len(policy.state.reps_g) == 5 and len(policy.state.reps_b) == 5:
+        if len(policy.girls.clusters.reps) == 5 and len(policy.boys.clusters.reps) == 5:
             hits += 1
     assert hits >= 9
 
@@ -158,35 +158,46 @@ def test_cursor_accounting_after_phase1():
     spec = ClusteredSpec(n=100, c_b=4, c_g=4, flip=0.0, seed=2)
     prefs = gen_clustered(spec)
     policy, _ = run_smile(prefs, 15000, seed=4, S=5)
-    st = policy.state
-    assert st.cursor_i >= 100 and st.cursor_j >= 100
+    girls, boys = policy.girls.clusters, policy.boys.clusters
+    assert girls.cursor >= 100 and boys.cursor >= 100
     half = 50
-    for rep in st.reps_g:
-        assert st.f_girl[rep].bit_count() == half
+    for rep in girls.reps:
+        assert girls.f[rep].bit_count() == half
     for g in range(100):
-        if g not in st.reps_g:
-            assert st.f_girl[g].bit_count() in (st.S_prime,)
+        if g not in girls.reps:
+            assert girls.f[g].bit_count() in (policy.S_prime,)
     # every user ends phase I as a representative or assigned
-    assert set(st.cluster_g) == set(range(100))
-    assert set(st.cluster_b) == set(range(100))
+    assert set(girls.cid_of) == set(range(100))
+    assert set(boys.cid_of) == set(range(100))
 
 
 # ---------------------------------------------------------------- matching index
 
 
-def quadratic_estimated_matches(state, n):
+def quadratic_estimated_matches(policy, n):
+    girls, boys = policy.girls.clusters, policy.boys.clusters
     out = set()
     for b in range(n):
-        rb = state.cluster_b[b]
+        rb = boys.reps[boys.cid_of[b]]
         for g in range(n):
-            rg = state.cluster_g[g]
+            rg = girls.reps[girls.cid_of[g]]
             if (
-                (state.f_girl[rg] >> b) & 1
-                and (state.pos_girl[rg] >> b) & 1
-                and (state.f_boy[rb] >> g) & 1
-                and (state.pos_boy[rb] >> g) & 1
+                (girls.f[rg] >> b) & 1
+                and (girls.pos[rg] >> b) & 1
+                and (boys.f[rb] >> g) & 1
+                and (boys.pos[rb] >> g) & 1
             ):
                 out.add((b, g))
+    return out
+
+
+def estimated_partners(side, other, x):
+    """All counterparts the cluster grid would ever serve to x (ignores pointers)."""
+    i = side.a[x]
+    out = []
+    for j, own in enumerate(side.cells[i]):
+        if x in own:
+            out.extend(other.cells[j][i])
     return out
 
 
@@ -194,23 +205,22 @@ def test_index_against_quadratic_oracle():
     spec = ClusteredSpec(n=100, c_b=5, c_g=5, flip=0.0, seed=11)
     prefs = gen_clustered(spec)
     policy, _ = run_smile(prefs, 40000, seed=5, S=5)
-    assert policy.state.phase == PHASE_MATCH
-    idx = policy.index
-    oracle = quadratic_estimated_matches(policy.state, 100)
+    assert policy.phase == PHASE_MATCH
+    oracle = quadratic_estimated_matches(policy, 100)
     mine = set()
     for b in range(100):
-        for g in idx.estimated_partners_of_boy(b):
+        for g in estimated_partners(policy.boys, policy.girls, b):
             mine.add((b, g))
     assert mine == oracle
     # symmetric view agrees
     sym = set()
     for g in range(100):
-        for b in idx.estimated_partners_of_girl(g):
+        for b in estimated_partners(policy.girls, policy.boys, g):
             sym.add((b, g))
     assert sym == oracle
     # generous T: every estimated pair ends up queried in the boy direction
     for b, g in oracle:
-        assert (policy.obs_bg[b] >> g) & 1
+        assert (policy.boys.obs[b] >> g) & 1
 
 
 def test_index_single_mutual_cluster():
@@ -218,13 +228,13 @@ def test_index_single_mutual_cluster():
     full = (1 << n) - 1
     prefs = PreferenceMatrices(n, (full,) * n, (full,) * n)
     policy, _ = run_smile(prefs, 12000, seed=0, S=5)
-    assert policy.state.phase == PHASE_MATCH
-    idx = policy.index
-    assert idx.c_b == idx.c_g == 1
-    assert sorted(idx.members_b[0]) == list(range(n))
+    assert policy.phase == PHASE_MATCH
+    boys, girls = policy.boys, policy.girls
+    assert len(boys.cells) == len(girls.cells) == 1
+    assert sorted(b for b in range(n) if boys.a[b] == 0) == list(range(n))
     # the single cell holds everyone who rated the opposite representative positively
-    assert set(idx.l_b[0][0]) == {
-        b for b in range(n) if (policy.state.f_girl[idx.rep_order_g[0]] >> b) & 1
+    assert set(boys.cells[0][0]) == {
+        b for b in range(n) if (girls.clusters.f[girls.rep_order[0]] >> b) & 1
     }
 
 
@@ -232,10 +242,9 @@ def test_index_no_mutual_likes():
     n = 100
     prefs = PreferenceMatrices(n, (0,) * n, (0,) * n)
     policy, _ = run_smile(prefs, 12000, seed=0, S=5)
-    assert policy.state.phase == PHASE_MATCH
-    idx = policy.index
-    assert all(not idx.l_b[i][j] for i in range(idx.c_b) for j in range(idx.c_g))
-    assert all(not idx.l_g[i][j] for i in range(idx.c_b) for j in range(idx.c_g))
+    assert policy.phase == PHASE_MATCH
+    for side in (policy.boys, policy.girls):
+        assert all(not cell for row in side.cells for cell in row)
 
 
 def test_index_requires_finished_phase1():
@@ -244,25 +253,25 @@ def test_index_requires_finished_phase1():
     policy = make_policy("smile", S=5)
     run_protocol(prefs, policy, 50, seed=0)  # nowhere near finishing
     with pytest.raises(RuntimeError):
-        build_matching_index(policy.state, 100)
+        build_matching_index(policy.boys, policy.girls, 100)
 
 
 def test_build_ops_linear_in_population_and_clusters():
     spec = ClusteredSpec(n=100, c_b=5, c_g=5, flip=0.0, seed=3)
     prefs = gen_clustered(spec)
     policy, _ = run_smile(prefs, 40000, seed=1, S=5)
-    idx = policy.index
-    bound = 6 * 100 * (idx.c_g + idx.c_b)
-    assert idx.build_ops <= bound
-    stored = sum(len(idx.l_b[i][j]) for i in range(idx.c_b) for j in range(idx.c_g))
-    stored += sum(len(idx.l_g[i][j]) for i in range(idx.c_b) for j in range(idx.c_g))
-    assert stored <= 100 * idx.c_g + 100 * idx.c_b
+    boys, girls = policy.boys, policy.girls
+    c_b, c_g = len(boys.cells), len(girls.cells)
+    bound = 6 * 100 * (c_g + c_b)
+    assert policy.build_ops <= bound
+    stored = sum(len(cell) for side in (boys, girls) for row in side.cells for cell in row)
+    assert stored <= 100 * c_g + 100 * c_b
     # lists ascending and consistent with the cluster assignment
-    for i in range(idx.c_b):
-        for j in range(idx.c_g):
-            lb = idx.l_b[i][j]
+    for i in range(c_b):
+        for j in range(c_g):
+            lb = boys.cells[i][j]
             assert lb == sorted(lb)
-            assert all(idx.a_b[b] == i for b in lb)
+            assert all(boys.a[b] == i for b in lb)
 
 
 def test_phase2_work_bound():
@@ -270,42 +279,35 @@ def test_phase2_work_bound():
     prefs = gen_clustered(spec)
     T = 40000
     policy, _ = run_smile(prefs, T, seed=1, S=5)
-    idx = policy.index
-    bound = 4 * (T + 100 * (idx.c_g + idx.c_b) * math.log2(100))
+    c_b, c_g = len(policy.boys.cells), len(policy.girls.cells)
+    bound = 4 * (T + 100 * (c_g + c_b) * math.log2(100))
     assert policy.phase2_ops <= bound
 
 
 def test_pointer_exhaustion_single_partner():
     # one estimated partner: first arrival serves her, later arrivals fall back
-    from matchlab.policies.smile import MatchingIndex, SmilePolicy
+    from matchlab.policies.smile import SmilePolicy
 
     n = 6
     policy = SmilePolicy(S=2)
-    policy.n = n
-    policy.obs_bg = [0] * n
-    policy.obs_gb = [0] * n
-    policy.phase2_ops = 0
-    policy.index = MatchingIndex(
-        c_b=1,
-        c_g=1,
-        rep_order_b=[0],
-        rep_order_g=[0],
-        a_b=[0] * n,
-        a_g=[0] * n,
-        members_b=[list(range(n))],
-        members_g=[list(range(n))],
-        l_b=[[[2]]],        # only boy 2 estimated to like the girl cluster
-        l_g=[[[5]]],        # only girl 5 estimated reciprocal
-        ptr_cell_b=[-1] * n,
-        ptr_off_b=[0] * n,
-        ptr_cell_g=[-1] * n,
-        ptr_off_g=[0] * n,
-    )
-    assert policy._walk_boy(2) == 5
-    policy.obs_bg[2] |= 1 << 5  # the reveal happens, pointer must not revisit
-    assert policy._walk_boy(2) is None
+    policy.start(n, 10, _rng())
+    boys, girls = policy.boys, policy.girls
+    for side in (boys, girls):
+        side.a = [0] * n
+        side.rep_order = [0]
+    boys.cells = [[[2]]]    # only boy 2 estimated to like the girl cluster
+    girls.cells = [[[5]]]   # only girl 5 estimated reciprocal
+    assert policy._walk(boys, girls, 2) == 5
+    boys.obs[2] |= 1 << 5  # the reveal happens, pointer must not revisit
+    assert policy._walk(boys, girls, 2) is None
     # a boy in no list falls through immediately
-    assert policy._walk_boy(1) is None
+    assert policy._walk(boys, girls, 1) is None
+
+
+def _rng():
+    from matchlab.rng import SubstreamRng
+
+    return SubstreamRng(0, 1)
 
 
 # ---------------------------------------------------------------- match yield
