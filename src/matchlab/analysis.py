@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PreferenceMatrices
+from .core import PreferenceMatrices, rows_to_masks
 from .errors import InputError, InternalCheckError
 from .rng import STREAM_ANALYSIS, philox
 
@@ -35,11 +35,7 @@ def _column_masks(matrix: np.ndarray) -> tuple[list[int], int]:
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise InputError("expected a 2-D boolean matrix")
-    m = np.ascontiguousarray(m.astype(bool).T)  # one row per column, bit i = matrix row i
-    r = m.shape[1]
-    packed = np.packbits(m, axis=1, bitorder="little")
-    cols = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return cols, r
+    return rows_to_masks(m.T), m.shape[0]  # one mask per column, bit i = matrix row i
 
 
 @dataclass

@@ -51,11 +51,30 @@ class ExperimentConfig:
     T: int
     seeds: list[int]
     out: Path
-    threads: int = 1
     curve_stride: int = 1
     save_runs: bool = False
     save_traces: bool = False
     policy_params: dict[str, dict] = field(default_factory=dict)
+
+
+CONFIG_KEYS = (
+    "instance", "policies", "T", "seeds", "base_seed", "out",
+    "curve_stride", "save_runs", "save_traces",
+)
+
+
+def _number(path, key, value, kind=int):
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"{path}: {key} must be {what}, got {value!r}") from None
+
+
+def _distinct(path, key, items):
+    dup = next((x for i, x in enumerate(items) if x in items[:i]), None)
+    if dup is not None:
+        raise InputError(f"{path}: {key} lists {dup!r} twice")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -63,10 +82,13 @@ def parse_config(path) -> ExperimentConfig:
 
     ``seeds`` is either a count (seeds are then base_seed..base_seed+k-1)
     or an explicit comma list.  Per-policy overrides use dotted keys, e.g.
-    ``smile.S=6``.
+    ``smile.S=6``.  An unknown key, a key given twice, a value that is not a
+    number where one is needed, or a policy or seed listed twice is an
+    ``InputError``.
     """
     kv: dict[str, str] = {}
     policy_params: dict[str, dict] = {}
+    seen: set[str] = set()
     for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -74,6 +96,9 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise InputError(f"{path}:{i}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key in seen:
+            raise InputError(f"{path}:{i}: key {key!r} given twice")
+        seen.add(key)
         if "." in key:
             pol, param = key.split(".", 1)
             if pol not in POLICY_PARAM_TYPES:
@@ -81,9 +106,11 @@ def parse_config(path) -> ExperimentConfig:
             types = POLICY_PARAM_TYPES[pol]
             if param not in types:
                 raise InputError(f"{path}:{i}: policy {pol!r} takes no parameter {param!r}")
-            policy_params.setdefault(pol, {})[param] = types[param](value)
-        else:
+            policy_params.setdefault(pol, {})[param] = _number(path, key, value, types[param])
+        elif key in CONFIG_KEYS:
             kv[key] = value
+        else:
+            raise InputError(f"{path}:{i}: unknown key {key!r}")
 
     def need(key):
         if key not in kv:
@@ -91,18 +118,20 @@ def parse_config(path) -> ExperimentConfig:
         return kv[key]
 
     policies = [p.strip() for p in need("policies").split(",") if p.strip()]
+    _distinct(path, "policies", policies)
     if not policies:
         raise InputError(f"{path}: at least one policy required")
     for p in policies:
         if p not in POLICIES:
             raise InputError(f"{path}: unknown policy {p!r}")
-    T = int(need("T"))
-    base_seed = int(kv.get("base_seed", "0"))
+    T = _number(path, "T", need("T"))
+    base_seed = _number(path, "base_seed", kv.get("base_seed", "0"))
     seeds_raw = need("seeds")
     if "," in seeds_raw:
-        seeds = [int(s) for s in seeds_raw.split(",") if s.strip()]
+        seeds = [_number(path, "seeds", s) for s in seeds_raw.split(",") if s.strip()]
+        _distinct(path, "seeds", seeds)
     else:
-        count = int(seeds_raw)
+        count = _number(path, "seeds", seeds_raw)
         if count < 1:
             raise InputError(f"{path}: seeds count must be >= 1")
         seeds = [base_seed + i for i in range(count)]
@@ -114,8 +143,7 @@ def parse_config(path) -> ExperimentConfig:
         T=T,
         seeds=seeds,
         out=Path(kv.get("out", "runs/out")),
-        threads=int(kv.get("threads", "1")),
-        curve_stride=int(kv.get("curve_stride", "1")),
+        curve_stride=_number(path, "curve_stride", kv.get("curve_stride", "1")),
         save_runs=kv.get("save_runs", "0") not in ("0", "false", ""),
         save_traces=kv.get("save_traces", "0") not in ("0", "false", ""),
         policy_params=policy_params,
@@ -147,29 +175,14 @@ def cmd_run(config: ExperimentConfig) -> int:
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
 
-    def one_run(pol_name, params, seed):
-        policy = make_policy(pol_name, **params)
-        run = run_protocol(prefs, policy, config.T, seed, config.curve_stride)
-        return run, policy.diagnostics()
-
     results: dict[str, list] = {p: [] for p in config.policies}
     diags: dict[tuple[str, int], dict] = {}
-    jobs = [
-        (pol_name, config.policy_params.get(pol_name, {}), seed)
-        for pol_name in config.policies
-        for seed in config.seeds
-    ]
-    if config.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.threads) as ex:
-            outcomes = list(ex.map(lambda j: one_run(*j), jobs))
-    else:
-        outcomes = [one_run(*j) for j in jobs]
-    # merged deterministically: jobs are in (policy, seed) order already
-    for (pol_name, _, seed), (run, diag) in zip(jobs, outcomes):
-        results[pol_name].append(run)
-        diags[(pol_name, seed)] = diag
+    for pol_name in config.policies:
+        params = config.policy_params.get(pol_name, {})
+        for seed in config.seeds:
+            policy = make_policy(pol_name, **params)
+            results[pol_name].append(run_protocol(prefs, policy, config.T, seed, config.curve_stride))
+            diags[(pol_name, seed)] = policy.diagnostics()
 
     # yardstick per seed (arrivals are shared across policies for a seed)
     mstar: dict[int, int] = {}
@@ -293,7 +306,6 @@ def _write_manifest(path, config, prefs, mg):
         f"policies={','.join(config.policies)}",
         f"T={config.T}",
         f"seeds={','.join(str(s) for s in config.seeds)}",
-        f"threads={config.threads}",
         f"curve_stride={config.curve_stride}",
     ]
     for pol, params in sorted(config.policy_params.items()):
@@ -507,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run a policy comparison from a config file")
     r.add_argument("config")
     r.add_argument("--out", default=None, help="override the config's output directory")
-    r.add_argument("--threads", type=int, default=None, help="override the config's worker count")
 
     y = sub.add_parser("yardstick", help="trace-optimal matches for a saved trace")
     y.add_argument("instance")
@@ -537,8 +548,6 @@ def main(argv=None) -> int:
             config = parse_config(args.config)
             if args.out:
                 config.out = Path(args.out)
-            if args.threads:
-                config.threads = args.threads
             return cmd_run(config)
         if args.command == "yardstick":
             return cmd_yardstick(args)

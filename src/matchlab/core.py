@@ -77,12 +77,10 @@ class PreferenceMatrices:
         n = boys.shape[0]
         if boys.shape != (n, n) or girls.shape != (n, n):
             raise InputError("preference matrices must both be n x n")
-        return PreferenceMatrices(
-            n, tuple(_row_to_mask(r) for r in boys), tuple(_row_to_mask(r) for r in girls)
-        )
+        return PreferenceMatrices(n, tuple(rows_to_masks(boys)), tuple(rows_to_masks(girls)))
 
     def to_bool_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return (_masks_to_bool(self.boys_like, self.n), _masks_to_bool(self.girls_like, self.n))
+        return (masks_to_rows(self.boys_like, self.n), masks_to_rows(self.girls_like, self.n))
 
     def boys_like_columns(self) -> list[int]:
         """Column bitsets of the boy matrix: feedback each girl receives."""
@@ -93,33 +91,22 @@ class PreferenceMatrices:
         return _transpose_masks(self.girls_like, self.n)
 
 
-def _row_to_mask(row) -> int:
-    m = 0
-    for j, v in enumerate(row):
-        if v:
-            m |= 1 << j
-    return m
+def rows_to_masks(matrix) -> list[int]:
+    """Each row of a 2-D boolean matrix as a bitset: bit j is column j."""
+    packed = np.packbits(np.asarray(matrix, dtype=bool), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _masks_to_bool(rows, n) -> np.ndarray:
-    out = np.zeros((n, n), dtype=bool)
-    for i, r in enumerate(rows):
-        while r:
-            low = r & -r
-            out[i, low.bit_length() - 1] = True
-            r ^= low
-    return out
+def masks_to_rows(masks, n) -> np.ndarray:
+    """The inverse of ``rows_to_masks`` for rows of n columns."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    return bits.view(bool)
 
 
 def _transpose_masks(rows, n) -> list[int]:
-    cols = [0] * n
-    for i, r in enumerate(rows):
-        bit = 1 << i
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= bit
-            r ^= low
-    return cols
+    return rows_to_masks(masks_to_rows(rows, n).T)
 
 
 @dataclass(frozen=True)

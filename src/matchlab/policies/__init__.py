@@ -1,9 +1,10 @@
 """Matchmaking policies, addressable by name.
 
 A policy is described only through its two selection steps plus the feedback
-channel.  It never sees the hidden sign function: the engine calls
-``observe_*`` with each revealed sign, and that is the only way information
-flows in.
+channel.  It never sees the hidden sign function: the engine records each
+revealed sign in the run's ``FeedbackLedger`` and then calls ``observe_*``
+with it, and that is the only way information flows in.  Policies read the
+ledger; they never write it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from ..errors import InputError
 from .base import MatchmakerPolicy
 from .ismile import IsmilePolicy
-from .random_baselines import OommPolicy, OommState, UrommPolicy
+from .random_baselines import OommPolicy, UrommPolicy
 from .smile import SmilePolicy, build_matching_index, choose_S
 
 POLICIES = {
@@ -39,7 +40,6 @@ __all__ = [
     "MatchmakerPolicy",
     "UrommPolicy",
     "OommPolicy",
-    "OommState",
     "SmilePolicy",
     "build_matching_index",
     "choose_S",

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..rng import SubstreamRng
+
+if TYPE_CHECKING:
+    from ..protocol import FeedbackLedger
 
 
 class MatchmakerPolicy:
@@ -10,14 +15,20 @@ class MatchmakerPolicy:
     (2_B)/(2_G); ``observe_*`` delivers the sign revealed at steps
     (3_B)/(3_G).  Selections must be in-range counterparts.  Policies keep
     all state private to one run and must be reconstructable per run.
+
+    ``start`` hands over the run's ``FeedbackLedger``, the engine's record
+    of every sign revealed so far.  The engine records each sign there
+    before it calls ``observe_*``, so a policy reads what it has learnt from
+    the ledger instead of keeping its own copy, and never writes to it.
     """
 
     name = "base"
 
-    def start(self, n: int, T: int, rng: SubstreamRng) -> None:
+    def start(self, n: int, T: int, rng: SubstreamRng, ledger: FeedbackLedger) -> None:
         self.n = n
         self.T = T
         self.rng = rng
+        self.ledger = ledger
 
     def select_for_boy(self, b: int, t: int) -> int:
         raise NotImplementedError

@@ -9,9 +9,11 @@ cluster.  ``smile`` feeds it only the user under the cursor, so its users
 are clustered strictly in cursor order; ``ismile`` feeds it every sign.
 
 Both policies keep one ``PolicySide`` per side, built by ``make_sides``:
-the side's revealed rows (bit y of ``obs[x]`` is set once x's sign for
-counterpart y is revealed, and of ``pos[x]`` if it is a like) and the
-``SideClusters`` of its users.  Each policy writes its select and observe
+the side's revealed rows and the ``SideClusters`` of its users.  The rows
+are the engine ledger's own lists, not copies (bit y of ``obs[x]`` is set
+once x's sign for counterpart y is revealed, and of ``pos[x]`` if it is a
+like): the engine writes them before each ``observe_*`` call, and the
+policies only read them.  Each policy writes its select and observe
 once, taking the arriving user's side and the other side as arguments.
 The sides hold no reference to each other: a reference cycle would keep a
 finished run's state alive until the cyclic garbage collector ran.
@@ -94,19 +96,20 @@ class PolicySide:
 
     __slots__ = ("obs", "pos", "clusters")
 
-    def __init__(self, n, clusters):
-        self.obs = [0] * n  # counterparts each user has queried
-        self.pos = [0] * n  # ... and liked
+    def __init__(self, n, obs, pos, clusters):
+        self.obs = obs  # counterparts each user has queried (ledger rows)
+        self.pos = pos  # ... and liked
         self.clusters = clusters
 
 
-def make_sides(side_cls, n, rng, s_prime, tol):
-    """The boy and the girl side, with shuffled cursor orders."""
+def make_sides(side_cls, ledger, rng, s_prime, tol):
+    """The boy and the girl side on the ledger's rows, with shuffled cursor orders."""
+    n = ledger.n
     order_g = list(range(n))
     order_b = list(range(n))
     rng.shuffle(order_b)
     rng.shuffle(order_g)
     half_n = (n + 1) // 2
-    boys = side_cls(n, SideClusters(n, s_prime, half_n, tol, order_b))
-    girls = side_cls(n, SideClusters(n, s_prime, half_n, tol, order_g))
+    boys = side_cls(n, ledger.obs_bg, ledger.pos_bg, SideClusters(n, s_prime, half_n, tol, order_b))
+    girls = side_cls(n, ledger.obs_gb, ledger.pos_gb, SideClusters(n, s_prime, half_n, tol, order_g))
     return boys, girls

@@ -8,10 +8,12 @@ cluster); answer a counterpart who already liked the user; serve the
 cluster-estimation cursor; else prefer unknowns over exhausted options.
 
 The policy is written once for both sides.  Each side is an ``IsmileSide``:
-its users' revealed rows, the ``SideClusters`` of its users (fed every sign
-they receive), and each user's view of the other side's clusters.  The
-engine's four entry points pass the arriving user's side and the other side
-to ``_select`` and ``_observe``.
+its users' revealed rows (read from the engine's ledger), the
+``SideClusters`` of its users (fed every sign they receive, so its ``f[x]``
+and ``pos[x]`` are the counterparts whose sign toward x is known, or a
+like), and each user's view of the other side's clusters.  The engine's
+four entry points pass the arriving user's side and the other side to
+``_select`` and ``_observe``.
 
 Differences from the phased policy: the sampling size is S + ceil(sqrt(S ln n)),
 and the cluster-membership test forgives mismatches on up to a 1/ln n
@@ -31,20 +33,17 @@ from .smile import s_bounds
 class IsmileSide(PolicySide):
     """One side of ismile.
 
-    Per user x: ``likers[x]`` and ``opin[x]`` are the counterparts whose
-    observed sign toward x is a like, or known at all.  ``cpref[x]`` maps
-    the other side's cluster ids to x's sign for them, ``toask[x]`` queues
-    the clusters still unknown to x, ``exploit[x]`` lists the liked ones
-    and ``eptr[x]`` holds a forward pointer into each.  ``ctx`` is the
-    (user, cluster) of a pending one-probe decision.
+    Per user x: ``cpref[x]`` maps the other side's cluster ids to x's sign
+    for them, ``toask[x]`` queues the clusters still unknown to x,
+    ``exploit[x]`` lists the liked ones and ``eptr[x]`` holds a forward
+    pointer into each.  ``ctx`` is the (user, cluster) of a pending
+    one-probe decision.
     """
 
-    __slots__ = ("likers", "opin", "cpref", "toask", "exploit", "eptr", "ctx")
+    __slots__ = ("cpref", "toask", "exploit", "eptr", "ctx")
 
-    def __init__(self, n, clusters):
-        super().__init__(n, clusters)
-        self.likers = [0] * n
-        self.opin = [0] * n
+    def __init__(self, n, obs, pos, clusters):
+        super().__init__(n, obs, pos, clusters)
         self.cpref: list[dict[int, int]] = [dict() for _ in range(n)]
         self.toask: list[dict[int, None]] = [dict() for _ in range(n)]
         self.exploit: list[list[int]] = [[] for _ in range(n)]
@@ -66,8 +65,8 @@ class IsmilePolicy(MatchmakerPolicy):
         self.forced_S = S
         self.forced_tol = tolerance
 
-    def start(self, n, T, rng):
-        super().start(n, T, rng)
+    def start(self, n, T, rng, ledger):
+        super().start(n, T, rng, ledger)
         ln = math.log(n) if n > 1 else 1.0
         lo, hi = s_bounds(n)
         S = hi if self.forced_S is None else max(lo, min(hi, int(self.forced_S)))
@@ -75,7 +74,7 @@ class IsmilePolicy(MatchmakerPolicy):
         self.s_prime = S + math.ceil(math.sqrt(S * ln))
         self.tol = (1.0 / ln) if self.forced_tol is None else float(self.forced_tol)
         self.full = (1 << n) - 1
-        self.boys, self.girls = make_sides(IsmileSide, n, rng, self.s_prime, self.tol)
+        self.boys, self.girls = make_sides(IsmileSide, ledger, rng, self.s_prime, self.tol)
 
     def select_for_boy(self, b, t):
         return self._select(self.boys, self.girls, b)
@@ -126,7 +125,7 @@ class IsmilePolicy(MatchmakerPolicy):
             return sel
 
         # reciprocate discovered likes
-        m = me.likers[x] & ~obs & self.full
+        m = me.clusters.pos[x] & ~obs & self.full
         if m:
             return (m & -m).bit_length() - 1
 
@@ -135,20 +134,12 @@ class IsmilePolicy(MatchmakerPolicy):
             return target.order[target.cursor]
 
         # prefer counterparts whose opinion of x is still unknown
-        m = ~me.opin[x] & ~obs & self.full
+        m = ~me.clusters.f[x] & ~obs & self.full
         if m:
             return (m & -m).bit_length() - 1
         return lowest_unqueried(obs, self.n)
 
     def _observe(self, me, other, x, y, sign):
-        bit = 1 << y
-        if not me.obs[x] & bit:
-            me.obs[x] |= bit
-            if sign > 0:
-                me.pos[x] |= bit
-                other.likers[y] |= 1 << x
-            other.opin[y] |= 1 << x
-
         ctx = me.ctx
         if ctx is not None:
             me.ctx = None

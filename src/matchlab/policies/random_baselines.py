@@ -10,8 +10,6 @@ policy ever reads a sign, so their selection sequences depend only on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .base import MatchmakerPolicy
 
 
@@ -58,40 +56,32 @@ class UrommPolicy(MatchmakerPolicy):
         return self.rng.randint(self.n)
 
 
-@dataclass
-class OommState:
+class OommPolicy(MatchmakerPolicy):
     """Per-girl pending sets: boys observed toward her, not yet reciprocated.
 
     Membership invariant: b in pending[g] iff (b, g) is observed and (g, b)
-    is not.  The structure is asymmetric on purpose; the boy half needs none.
+    is not, read from the ledger.  The structure is asymmetric on purpose;
+    the boy half needs none.
     """
 
-    pending: list[IndexedSet] = field(default_factory=list)
-    gb_observed: list[int] = field(default_factory=list)  # bit b of gb_observed[g]
-
-
-class OommPolicy(MatchmakerPolicy):
     name = "oomm"
 
-    def start(self, n, T, rng):
-        super().start(n, T, rng)
-        self.state = OommState([IndexedSet() for _ in range(n)], [0] * n)
+    def start(self, n, T, rng, ledger):
+        super().start(n, T, rng, ledger)
+        self.pending = [IndexedSet() for _ in range(n)]
 
     def select_for_boy(self, b: int, t: int) -> int:
         return self.rng.randint(self.n)
 
     def select_for_girl(self, g: int, t: int) -> int:
-        pend = self.state.pending[g]
+        pend = self.pending[g]
         if len(pend):
             return pend.sample(self.rng)
         return self.rng.randint(self.n)
 
     def observe_boy_feedback(self, b, g, sign, t):
-        st = self.state
-        if not (st.gb_observed[g] >> b) & 1:
-            st.pending[g].add(b)
+        if not (self.ledger.obs_gb[g] >> b) & 1:
+            self.pending[g].add(b)
 
     def observe_girl_feedback(self, g, b, sign, t):
-        st = self.state
-        st.gb_observed[g] |= 1 << b
-        st.pending[g].discard(b)
+        self.pending[g].discard(b)

@@ -1,19 +1,20 @@
 """Cluster-sampling matchmaker with three phases.
 
 Phase 0 runs the reciprocating baseline for a while to estimate the hidden
-match count, which fixes the per-user feedback budget S.  Phase I clusters
-each side by the feedback its members receive: a cursor walks the shuffled
-user list, collects S' distinct signs for the current user, and either
-assigns them to the first representative whose observed feedback agrees on
-all common raters or, failing that, keeps collecting until ceil(n/2)
-distinct signs and promotes them to representative.  Phase II serves each
-arrival the next counterpart estimated mutual from representative feedback,
-through a compact cluster-grid index with forward-only pointers.
+match count from the ledger's match and reciprocal-pair counts, which fixes
+the per-user feedback budget S.  Phase I clusters each side by the feedback
+its members receive: a cursor walks the shuffled user list, collects S'
+distinct signs for the current user, and either assigns them to the first
+representative whose observed feedback agrees on all common raters or,
+failing that, keeps collecting until ceil(n/2) distinct signs and promotes
+them to representative.  Phase II serves each arrival the next counterpart
+estimated mutual from representative feedback, through a compact
+cluster-grid index with forward-only pointers.
 
 The algorithm is written once for both sides.  Each side is a ``SmileSide``:
-its users' revealed rows, their ``SideClusters`` (fed only at the cursor
-user, which keeps phase I in strict cursor order), and the side's half of
-the cluster grid with its walk pointers.  The engine's four entry points
+its users' revealed rows (the engine ledger's), their ``SideClusters`` (fed
+only at the cursor user, which keeps phase I in strict cursor order), and
+the side's half of the cluster grid with its walk pointers.  The engine's four entry points
 pass the arriving user's side and the other side to ``_select`` and
 ``_observe``.
 
@@ -75,8 +76,8 @@ class SmileSide(PolicySide):
 
     __slots__ = ("p0_select", "p0_observe", "a", "rep_order", "cells", "ptr_cell", "ptr_off")
 
-    def __init__(self, n, clusters):
-        super().__init__(n, clusters)
+    def __init__(self, n, obs, pos, clusters):
+        super().__init__(n, obs, pos, clusters)
         self.p0_select = self.p0_observe = None
         self.a: list[int] = []  # user -> cluster id (rank of its representative)
         self.rep_order: list[int] = []
@@ -133,10 +134,10 @@ class SmilePolicy(MatchmakerPolicy):
         self.gamma = gamma
         self.tolerance = tolerance
 
-    def start(self, n, T, rng):
-        super().start(n, T, rng)
+    def start(self, n, T, rng, ledger):
+        super().start(n, T, rng, ledger)
         # S' is set once phase 0 has fixed S; nothing is clustered before
-        self.boys, self.girls = make_sides(SmileSide, n, rng, None, self.tolerance)
+        self.boys, self.girls = make_sides(SmileSide, ledger, rng, None, self.tolerance)
         self.phase = PHASE_ESTIMATE
         self.S = self.S_prime = self.m_hat = None
         self.m_hat_degenerate = False
@@ -150,13 +151,13 @@ class SmilePolicy(MatchmakerPolicy):
             self._enter_clustering(S, s_prime_for(S, n))
         else:
             oomm = OommPolicy()
-            oomm.start(n, T, rng)
+            oomm.start(n, T, rng, ledger)
             self.boys.p0_select = oomm.select_for_boy
             self.boys.p0_observe = oomm.observe_boy_feedback
             self.girls.p0_select = oomm.select_for_girl
             self.girls.p0_observe = oomm.observe_girl_feedback
             self._p0_k0 = math.ceil(8 * math.log(n)) if n > 1 else 1
-            self._p0_halfrounds = self._p0_pairs = self._p0_matches = 0
+            self._p0_halfrounds = 0
 
     def select_for_boy(self, b, t):
         return self._select(self.boys, self.girls, b, t)
@@ -189,15 +190,6 @@ class SmilePolicy(MatchmakerPolicy):
 
     def _observe(self, me, other, x, y, sign, t):
         phase = self.phase
-        bit = 1 << y
-        if not me.obs[x] & bit:
-            me.obs[x] |= bit
-            if sign > 0:
-                me.pos[x] |= bit
-            if phase == PHASE_ESTIMATE and (other.obs[y] >> x) & 1:
-                self._p0_pairs += 1
-                if sign > 0 and (other.pos[y] >> x) & 1:
-                    self._p0_matches += 1
         if phase == PHASE_ESTIMATE:
             me.p0_observe(x, y, sign, t)
             self._phase0_tick()
@@ -210,10 +202,12 @@ class SmilePolicy(MatchmakerPolicy):
     def _phase0_tick(self):
         self._p0_halfrounds += 1
         n = self.n
-        if self._p0_matches >= self._p0_k0 or self._p0_halfrounds >= 2 * n * n:
+        # phase 0 starts at round 1, so the ledger's counts are its own
+        matches = len(self.ledger.uncovered)
+        if matches >= self._p0_k0 or self._p0_halfrounds >= 2 * n * n:
             self.phase0_rounds = (self._p0_halfrounds + 1) // 2
-            if self._p0_matches > 0 and self._p0_pairs > 0:
-                self.m_hat = max(1, round(self._p0_matches * n * n / self._p0_pairs))
+            if matches:  # each match is a reciprocal pair, so pairs >= 1
+                self.m_hat = max(1, round(matches * n * n / self.ledger.reciprocal_pairs))
             else:
                 self.m_hat = 1
                 self.m_hat_degenerate = True

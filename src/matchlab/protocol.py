@@ -8,6 +8,11 @@ positive direction of a pair first enters the observed set.
 Policies see only arrivals, their own selections and the revealed signs; the
 engine is the sole reader of the hidden sign function (exactly two sign
 lookups per round, which the test harness exploits to assert hygiene).
+
+The engine is also the sole writer of the ``FeedbackLedger``, the one record
+of revealed signs.  It hands the ledger to the policy at ``start`` and
+records each sign in it before calling ``observe_*``; policies read the
+ledger and never write it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 from .core import PreferenceMatrices, Side, UserRef
 from .errors import InputError, ProtocolError
+from .policies.base import MatchmakerPolicy
 from .rng import STREAM_POLICY, SubstreamRng, draw_arrivals
 
 
@@ -71,7 +77,8 @@ class FeedbackLedger:
     Observed directed edges are kept as per-user bitsets.  A pair enters
     ``uncovered`` at the half-round where its second direction is revealed
     with both signs positive.  ``reciprocal_pairs`` counts unordered pairs
-    with both directions observed regardless of sign.
+    with both directions observed regardless of sign.  Both are kept up to
+    date during a run, so a policy can read them between half-rounds.
     """
 
     n: int
@@ -137,9 +144,11 @@ def run_protocol(
     """Run one seeded T-round protocol episode under the given policy.
 
     Deterministic function of (instance, policy + params, T, seed): arrivals
-    come from the arrivals substream, the policy gets its own substream.
-    ``curve_stride`` > 1 decimates the stored match curve for very long runs;
-    the area-under-curve accumulator stays exact either way.
+    come from the arrivals substream, the policy gets its own substream and
+    the run's ledger (a policy that does not derive from ``MatchmakerPolicy``
+    reads no ledger and is started as ``start(n, T, rng)``).
+    ``curve_stride`` > 1 decimates the stored match curve for very long
+    runs; the area-under-curve accumulator stays exact either way.
     """
     n = prefs.n
     if T < 1:
@@ -148,9 +157,12 @@ def run_protocol(
         raise InputError("curve_stride must be >= 1")
 
     boy_arr, girl_arr = draw_arrivals(n, T, seed)
-    policy.start(n, T, SubstreamRng(seed, STREAM_POLICY))
-
     ledger = FeedbackLedger(n, curve_stride)
+    rng = SubstreamRng(seed, STREAM_POLICY)
+    if isinstance(policy, MatchmakerPolicy):
+        policy.start(n, T, rng, ledger)
+    else:
+        policy.start(n, T, rng)
     obs_bg = ledger.obs_bg
     obs_gb = ledger.obs_gb
     pos_bg = ledger.pos_bg
@@ -170,7 +182,6 @@ def run_protocol(
     s_gb: list[int] = []
     curve: list[int] = []
 
-    pairs = 0
     matches = 0
     auc_sum = 0
     stride = curve_stride
@@ -190,7 +201,7 @@ def run_protocol(
             if s1 > 0:
                 pos_bg[b] |= bit
             if (obs_gb[g1] >> b) & 1:
-                pairs += 1
+                ledger.reciprocal_pairs += 1
                 if s1 > 0 and (pos_gb[g1] >> b) & 1:
                     matches += 1
                     uncovered.add((b, g1))
@@ -210,7 +221,7 @@ def run_protocol(
             if s2 > 0:
                 pos_gb[g] |= bit
             if (obs_bg[b1] >> g) & 1:
-                pairs += 1
+                ledger.reciprocal_pairs += 1
                 if s2 > 0 and (pos_bg[b1] >> g) & 1:
                     matches += 1
                     uncovered.add((b1, g))
@@ -224,7 +235,6 @@ def run_protocol(
         if stride == 1 or t % stride == 0 or t == T:
             curve.append(matches)
 
-    ledger.reciprocal_pairs = pairs
     ledger.auc_sum = auc_sum
     ledger.curve = np.asarray(curve, dtype=np.int64)
 
@@ -258,22 +268,9 @@ def run_batch(
     T: int,
     seeds,
     curve_stride: int = 1,
-    threads: int = 1,
 ) -> list[RunResult]:
-    """Independent seeded runs of one policy; results in seed order.
+    """Independent seeded runs of one policy, one after another, in seed order.
 
-    ``policy_factory`` builds a fresh policy per run.  Threads only help when
-    a policy releases the GIL (they mostly do not under CPython); results are
-    merged deterministically by seed order either way.
+    ``policy_factory`` builds a fresh policy per run.
     """
-    seeds = list(seeds)
-    if threads <= 1 or len(seeds) <= 1:
-        return [run_protocol(prefs, policy_factory(), T, s, curve_stride) for s in seeds]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = [
-            ex.submit(run_protocol, prefs, policy_factory(), T, s, curve_stride)
-            for s in seeds
-        ]
-        return [f.result() for f in futs]
+    return [run_protocol(prefs, policy_factory(), T, s, curve_stride) for s in seeds]

@@ -145,6 +145,25 @@ class SignCountingPrefs:
         return self._prefs.sign_gb(g, b)
 
 
+def reveal(policy, ledger, boy_side, x, y, sign, t=1):
+    """Deliver one revealed sign the way the engine does: record x's sign
+    for y in the ledger first, then call the policy's observe method.
+    ``boy_side`` says whether x is a boy."""
+    bg = (ledger.obs_bg, ledger.pos_bg)
+    gb = (ledger.obs_gb, ledger.pos_gb)
+    (obs, pos), (back_obs, back_pos), pair = (bg, gb, (x, y)) if boy_side else (gb, bg, (y, x))
+    if not (obs[x] >> y) & 1:
+        obs[x] |= 1 << y
+        if sign > 0:
+            pos[x] |= 1 << y
+        if (back_obs[y] >> x) & 1:
+            ledger.reciprocal_pairs += 1
+            if sign > 0 and (back_pos[y] >> x) & 1:
+                ledger.uncovered.add(pair)
+    observe = policy.observe_boy_feedback if boy_side else policy.observe_girl_feedback
+    observe(x, y, sign, t)
+
+
 class ScriptedRng:
     """Feeds a fixed sequence of values to policy randint calls."""
 

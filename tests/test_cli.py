@@ -1,7 +1,10 @@
 import math
 
+import pytest
+
 from matchlab import area_under_curve, make_policy, read_instance, run_protocol
 from matchlab.cli import main, parse_config, read_trace, write_trace
+from matchlab.errors import InputError
 
 
 def run_cli(*args):
@@ -196,16 +199,6 @@ def test_internal_check_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     assert "internal check failed" in capsys.readouterr().err
 
 
-def test_threads_flag_matches_sequential(tmp_path):
-    inst = tmp_path / "i.txt"
-    run_cli("gen", "clustered", "--n", 30, "--c-b", 3, "--c-g", 3, "--seed", 2, "--out", inst)
-    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm,oomm", T=200, seeds=4, out=tmp_path / "seq")
-    assert run_cli("run", cfg) == 0
-    assert run_cli("run", cfg, "--out", tmp_path / "par", "--threads", 3) == 0
-    for name in ("curves.csv", "auc.csv", "yardstick.csv"):
-        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
-
-
 def test_parse_config_validation(tmp_path):
     cfg = tmp_path / "c"
     cfg.write_text("instance=x\npolicies=oomm\nT=10\nseeds=2\nsmile.bogus=3\n")
@@ -217,6 +210,35 @@ def test_parse_config_validation(tmp_path):
     cfg.write_text("instance=x\npolicies=oomm\nT=10\nseeds=4,5,6\nout=o\n")
     conf = parse_config(cfg)
     assert conf.seeds == [4, 5, 6]
+    base = "instance=x\npolicies=oomm\nT=10\nseeds=2\n"
+    bad = {
+        "T": "instance=x\npolicies=oomm\nT=abc\nseeds=2\n",
+        "smile.S": base + "smile.S=x\n",
+        "sede": base + "sede=5\n",
+        "threads": base + "threads=2\n",
+        "seeds lists 1 twice": "instance=x\npolicies=oomm\nT=10\nseeds=1,1\n",
+        "policies lists 'uromm' twice": "instance=x\npolicies=uromm,uromm\nT=10\nseeds=2\n",
+        "'T' given twice": base + "T=20\n",
+        "'smile.S' given twice": base + "smile.S=3\nsmile.S=4\n",
+    }
+    for needle, text in bad.items():
+        cfg.write_text(text)
+        with pytest.raises(InputError, match=needle):
+            parse_config(cfg)
+
+
+@pytest.mark.parametrize("line", ["T=abc", "smile.S=x"])
+def test_bad_config_exits_2_with_one_line(tmp_path, capsys, line):
+    # a value that is not a number used to escape as a ValueError traceback
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    kv = {"instance": inst, "policies": "uromm", "T": 10, "seeds": 1, "out": tmp_path / "o"}
+    key, value = line.split("=")
+    kv[key] = value
+    assert run_cli("run", write_config(tmp_path / "cfg", **kv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_when_last_user_never_arrives(tmp_path):

@@ -134,6 +134,24 @@ def test_bool_array_roundtrip():
     assert b.shape == (9, 9) and b.dtype == bool
 
 
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+    st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+)))
+def test_bitset_conversions_match_bit_loops(data):
+    # widths up to 20 cross byte boundaries of the packed rows
+    n, boys, girls = data
+    prefs = PreferenceMatrices(n, tuple(boys), tuple(girls))
+    b, g = prefs.to_bool_arrays()
+    assert b.dtype == bool and b.shape == g.shape == (n, n)
+    assert b.tolist() == [[bool((r >> j) & 1) for j in range(n)] for r in boys]
+    assert g.tolist() == [[bool((r >> j) & 1) for j in range(n)] for r in girls]
+    assert prefs.boys_like_columns() == [
+        sum(((boys[i] >> j) & 1) << i for i in range(n)) for j in range(n)
+    ]
+
+
 def test_rejects_malformed():
     with pytest.raises(InputError):
         PreferenceMatrices(2, (0, 4), (0, 0))  # bit outside n

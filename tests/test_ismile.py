@@ -4,6 +4,7 @@ import numpy as np
 
 from matchlab import (
     ClusteredSpec,
+    FeedbackLedger,
     PreferenceMatrices,
     area_under_curve,
     build_matching_graph,
@@ -11,6 +12,8 @@ from matchlab import (
     make_policy,
     run_protocol,
 )
+
+from oracles import reveal
 
 
 def test_single_mutual_cluster_all_estimates_true():
@@ -38,13 +41,13 @@ def test_all_dislike_no_crash_no_verified():
 def test_defaults_and_overrides():
     n = 400
     policy = make_policy("ismile")
-    policy.start(n, 10, _rng())
+    policy.start(n, 10, _rng(), FeedbackLedger(n))
     assert policy.S == math.floor(n / math.log(n))
     assert policy.s_prime == policy.S + math.ceil(math.sqrt(policy.S * math.log(n)))
     assert abs(policy.tol - 1 / math.log(n)) < 1e-12
 
     forced = make_policy("ismile", S=10, tolerance=0.0)
-    forced.start(n, 10, _rng())
+    forced.start(n, 10, _rng(), FeedbackLedger(n))
     assert forced.S == 10 and forced.tol == 0.0
 
 
@@ -61,16 +64,18 @@ def test_reciprocal_prioritization():
     girls[3] = 1 << 2
     prefs = PreferenceMatrices(n, ((1 << n) - 1,) * n, tuple(girls))
     policy = make_policy("ismile")
-    policy.start(n, 100, _rng())
+    ledger = FeedbackLedger(n)
+    policy.start(n, 100, _rng(), ledger)
     # boy 2 hears that girl 3 likes him
-    policy.observe_girl_feedback(3, 2, 1, 1)
+    reveal(policy, ledger, False, 3, 2, 1, 1)
     assert policy.select_for_boy(2, 2) == 3  # answers the like before anything else
 
 
 def test_cluster_preference_single_probe():
     n = 30
     policy = make_policy("ismile")
-    policy.start(n, 100, _rng())
+    ledger = FeedbackLedger(n)
+    policy.start(n, 100, _rng(), ledger)
     # fabricate a discovered girl cluster with members 4 and 7
     girls = policy.girls.clusters
     girls.members.append([4, 7])
@@ -80,7 +85,7 @@ def test_cluster_preference_single_probe():
     policy.boys.toask[5][0] = None
     g = policy.select_for_boy(5, 1)
     assert g == 4  # probes the unknown cluster first
-    policy.observe_boy_feedback(5, 4, 1, 1)
+    reveal(policy, ledger, True, 5, 4, 1, 1)
     assert policy.boys.cpref[5][0] == 1
     assert policy.boys.exploit[5] == [0]
     # next arrival exploits the verified cluster: remaining member 7

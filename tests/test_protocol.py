@@ -2,14 +2,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchlab import (
+    POLICIES,
     PreferenceMatrices,
     ProtocolError,
+    arrival_counts,
     area_under_curve,
     build_matching_graph,
     make_policy,
     matches_curve,
+    optimal_matches,
     run_batch,
     run_protocol,
 )
@@ -45,18 +50,53 @@ def test_all_dislike_curve_is_zero():
         assert r.ledger.matches == 0
 
 
-def test_replay_oracle_oomm():
-    prefs = PreferenceMatrices(3, (0b011, 0b101, 0b110), (0b110, 0b011, 0b101))
-    r = run_protocol(prefs, make_policy("oomm"), 9, seed=5)
+def assert_ledger_is_replay(r, prefs):
+    """The ledger holds exactly what the trace revealed: a policy that wrote
+    to it would add bits or counts the replay does not have."""
     obs_bg, obs_gb, pairs, uncovered, curve = replay_ledger(r.trace)
     assert set(uncovered) == r.ledger.uncovered
     assert pairs == r.ledger.reciprocal_pairs
     assert curve == matches_curve(r).tolist()
-    # ledger masks agree with the replayed edge sets
-    for b in range(3):
-        for g in range(3):
+    n = prefs.n
+    for b in range(n):
+        for g in range(n):
             assert ((r.ledger.obs_bg[b] >> g) & 1) == ((b, g) in obs_bg)
             assert ((r.ledger.obs_gb[g] >> b) & 1) == ((g, b) in obs_gb)
+            assert ((r.ledger.pos_bg[b] >> g) & 1) == ((b, g) in obs_bg and prefs.boy_likes(b, g))
+            assert ((r.ledger.pos_gb[g] >> b) & 1) == ((g, b) in obs_gb and prefs.girl_likes(g, b))
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_replay_oracle(name):
+    prefs = PreferenceMatrices(3, (0b011, 0b101, 0b110), (0b110, 0b011, 0b101))
+    r = run_protocol(prefs, make_policy(name), 9, seed=5)
+    assert_ledger_is_replay(r, prefs)
+
+
+@pytest.mark.parametrize("name", ["smile", "ismile"])
+def test_policies_read_the_engine_ledger(demo_prefs, name):
+    policy = make_policy(name)
+    r = run_protocol(demo_prefs, policy, 30, seed=2)
+    assert policy.boys.obs is r.ledger.obs_bg and policy.boys.pos is r.ledger.pos_bg
+    assert policy.girls.obs is r.ledger.obs_gb and policy.girls.pos is r.ledger.pos_gb
+
+
+@st.composite
+def tiny_instances(draw):
+    n = draw(st.integers(1, 6))
+    rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    return PreferenceMatrices(n, tuple(draw(rows)), tuple(draw(rows)))
+
+
+@settings(deadline=None)
+@given(prefs=tiny_instances(), T=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_engine_invariants_on_tiny_instances(prefs, T, seed):
+    mg = build_matching_graph(prefs)
+    for name in sorted(POLICIES):
+        r = run_protocol(prefs, make_policy(name), T, seed)
+        assert_ledger_is_replay(r, prefs)
+        assert r.ledger.matches <= optimal_matches(mg, arrival_counts(r.trace))
+        assert np.all(np.diff(matches_curve(r)) >= 0)
 
 
 def test_curve_monotone_and_final(demo_prefs):
@@ -159,7 +199,7 @@ def test_curve_stride_keeps_auc_exact(demo_prefs):
 def test_run_batch_order_and_determinism(demo_prefs):
     runs = run_batch(demo_prefs, lambda: make_policy("uromm"), 20, seeds=[3, 1, 2])
     assert [r.seed for r in runs] == [3, 1, 2]
-    again = run_batch(demo_prefs, lambda: make_policy("uromm"), 20, seeds=[3, 1, 2], threads=2)
+    again = run_batch(demo_prefs, lambda: make_policy("uromm"), 20, seeds=[3, 1, 2])
     for a, b in zip(runs, again):
         assert np.array_equal(matches_curve(a), matches_curve(b))
 

@@ -1,10 +1,10 @@
 import numpy as np
 
-from matchlab import gen_adversarial_random, make_policy, run_protocol
+from matchlab import FeedbackLedger, gen_adversarial_random, make_policy, run_protocol
 from matchlab.policies.random_baselines import IndexedSet, OommPolicy, UrommPolicy
 from matchlab.rng import SubstreamRng
 
-from oracles import ScriptedRng
+from oracles import ScriptedRng, reveal
 
 
 def test_indexed_set_basics():
@@ -20,13 +20,13 @@ def test_indexed_set_basics():
 
 def test_uromm_n1_always_zero():
     p = UrommPolicy()
-    p.start(1, 10, SubstreamRng(0, 1))
+    p.start(1, 10, SubstreamRng(0, 1), FeedbackLedger(1))
     assert all(p.select_for_boy(0, t) == 0 for t in range(5))
 
 
 def test_uromm_frequencies_within_5_sigma():
     p = UrommPolicy()
-    p.start(100, 10, SubstreamRng(42, 1))
+    p.start(100, 10, SubstreamRng(42, 1), FeedbackLedger(100))
     draws = np.array([p.select_for_boy(0, 1) for _ in range(100_000)])
     counts = np.bincount(draws, minlength=100)
     exp = 1000.0
@@ -51,7 +51,7 @@ def test_oomm_sign_oblivious():
 
 def test_oomm_first_round_uniform():
     p = OommPolicy()
-    p.start(10, 5, ScriptedRng([3, 6]))
+    p.start(10, 5, ScriptedRng([3, 6]), FeedbackLedger(10))
     assert p.select_for_boy(2, 1) == 3     # uniform over girls
     assert p.select_for_girl(4, 1) == 6    # pending empty -> uniform over boys
     assert p.rng.calls == [10, 10]
@@ -59,21 +59,23 @@ def test_oomm_first_round_uniform():
 
 def test_oomm_serves_pending_singleton():
     p = OommPolicy()
-    p.start(4, 10, ScriptedRng([]))
-    p.observe_boy_feedback(2, 3, -1, 1)     # boy 2 rated girl 3 (sign irrelevant)
+    ledger = FeedbackLedger(4)
+    p.start(4, 10, ScriptedRng([]), ledger)
+    reveal(p, ledger, True, 2, 3, -1, 1)    # boy 2 rated girl 3 (sign irrelevant)
     assert p.select_for_girl(3, 2) == 2     # pending(3) = {2}
-    p.observe_girl_feedback(3, 2, 1, 2)     # reciprocated: pending empties
-    assert len(p.state.pending[3]) == 0
+    reveal(p, ledger, False, 3, 2, 1, 2)    # reciprocated: pending empties
+    assert len(p.pending[3]) == 0
 
 
 def test_oomm_pending_not_refilled_after_reciprocation():
     p = OommPolicy()
-    p.start(4, 10, ScriptedRng([1, 1, 1, 1]))
-    p.observe_boy_feedback(0, 1, 1, 1)
-    p.observe_girl_feedback(1, 0, -1, 1)
+    ledger = FeedbackLedger(4)
+    p.start(4, 10, ScriptedRng([1, 1, 1, 1]), ledger)
+    reveal(p, ledger, True, 0, 1, 1, 1)
+    reveal(p, ledger, False, 1, 0, -1, 1)
     # (1, 0) now observed; boy 0 rating girl 1 again must not re-enter pending
-    p.observe_boy_feedback(0, 1, 1, 2)
-    assert len(p.state.pending[1]) == 0
+    reveal(p, ledger, True, 0, 1, 1, 2)
+    assert len(p.pending[1]) == 0
 
 
 def test_oomm_reciprocal_rate():
@@ -93,10 +95,9 @@ def test_oomm_invariant_pending_matches_ledger():
     prefs = gen_adversarial_random(12, 30, 2)
     policy = make_policy("oomm")
     r = run_protocol(prefs, policy, 120, seed=9)
-    st = policy.state
     for g in range(12):
         for b in range(12):
             expected = bool((r.ledger.obs_bg[b] >> g) & 1) and not bool(
                 (r.ledger.obs_gb[g] >> b) & 1
             )
-            assert (b in st.pending[g]) == expected
+            assert (b in policy.pending[g]) == expected

@@ -4,6 +4,7 @@ import pytest
 
 from matchlab import (
     ClusteredSpec,
+    FeedbackLedger,
     PreferenceMatrices,
     build_matching_graph,
     choose_S,
@@ -18,6 +19,8 @@ from matchlab.policies.smile import (
     build_matching_index,
     s_prime_for,
 )
+
+from oracles import reveal
 
 
 def run_smile(prefs, T, seed, **params):
@@ -290,7 +293,8 @@ def test_pointer_exhaustion_single_partner():
 
     n = 6
     policy = SmilePolicy(S=2)
-    policy.start(n, 10, _rng())
+    ledger = FeedbackLedger(n)
+    policy.start(n, 10, _rng(), ledger)
     boys, girls = policy.boys, policy.girls
     for side in (boys, girls):
         side.a = [0] * n
@@ -298,7 +302,7 @@ def test_pointer_exhaustion_single_partner():
     boys.cells = [[[2]]]    # only boy 2 estimated to like the girl cluster
     girls.cells = [[[5]]]   # only girl 5 estimated reciprocal
     assert policy._walk(boys, girls, 2) == 5
-    boys.obs[2] |= 1 << 5  # the reveal happens, pointer must not revisit
+    reveal(policy, ledger, True, 2, 5, 1)  # the reveal happens, pointer must not revisit
     assert policy._walk(boys, girls, 2) is None
     # a boy in no list falls through immediately
     assert policy._walk(boys, girls, 1) is None
