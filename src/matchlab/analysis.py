@@ -68,7 +68,8 @@ def _first_fit(cols: list[int], radius: int, order: list[int]) -> list[list[int]
         if c not in unassigned:
             continue
         center = cols[c]
-        grp = []
+        unassigned.discard(c)
+        grp = [c]  # the seed first: refine=False takes g[0] as the center
         for x in list(unassigned):
             if (center ^ cols[x]).bit_count() <= radius:
                 unassigned.discard(x)

@@ -110,6 +110,16 @@ def test_refined_no_worse_than_first_fit():
         assert refined <= plain
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("radius", [6, 10])
+def test_first_fit_with_shuffle_is_valid(seed, radius):
+    # each first-fit center is its group's seed column, not the group's
+    # lowest column index, which may lie farther than the radius from it
+    boys, _ = gen_clustered(ClusteredSpec(n=60, c_b=5, c_g=5, seed=seed)).to_bool_arrays()
+    cols, _ = _column_masks(boys)
+    assert greedy_covering(boys, radius, refine=False, shuffle_seed=1).validate(cols)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 6), st.integers(1, 10), st.integers(0, 10_000))
 def test_covering_sandwich_small(radius, ncols, seed):
