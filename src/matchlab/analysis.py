@@ -8,6 +8,16 @@ first-fit pass is refined with majority-vote centers and a set-cover
 selection, which recovers planted cluster counts through flip noise that
 first-fit alone badly over-counts; ``refine=False`` gives the plain
 first-fit behavior.
+
+The covering works on whole boolean arrays: the columns, the first-fit
+neighbourhoods, the refined balls and the centers.  Hamming distances come
+from float32 matrix products as |a| + |b| - 2 a.b.  Every count involved is
+an integer below 2**24, where float32 is exact, so matrices with 2**24 rows
+or columns are refused.  The float32 work is done in tiles of at most
+``TILE`` x ``TILE`` results, from operand panels ``TILE`` wide, so
+the only arrays that grow with the square of the matrix size are boolean.
+Nearest-center scans merge the tiles with a strict ``<``, so ties go to
+the lowest center index, as in a plain scan.
 """
 
 from __future__ import annotations
@@ -29,13 +39,6 @@ def hamming_distance(col_a, col_b) -> int:
     if a.shape != b.shape or a.ndim != 1:
         raise InputError("hamming_distance needs two equal-length vectors")
     return int(np.count_nonzero(a != b))
-
-
-def _column_masks(matrix: np.ndarray) -> tuple[list[int], int]:
-    m = np.asarray(matrix)
-    if m.ndim != 2:
-        raise InputError("expected a 2-D boolean matrix")
-    return rows_to_masks(m.T), m.shape[0]  # one mask per column, bit i = matrix row i
 
 
 @dataclass
@@ -61,38 +64,63 @@ class CoveringResult:
         )
 
 
-def _first_fit(cols: list[int], radius: int, order: list[int]) -> list[list[int]]:
-    groups = []
-    unassigned = set(order)
-    for c in order:
-        if c not in unassigned:
-            continue
-        center = cols[c]
-        unassigned.discard(c)
-        grp = [c]  # the seed first: refine=False takes g[0] as the center
-        for x in list(unassigned):
-            if (center ^ cols[x]).bit_count() <= radius:
-                unassigned.discard(x)
-                grp.append(x)
-        groups.append(grp)
-    return groups
+TILE = 128
 
 
-def _majority_center(cols: list[int], group: list[int], n_rows: int) -> int:
-    if len(group) == 1:
-        return cols[group[0]]
-    half = len(group) / 2.0
-    counts = [0] * n_rows
-    for c in group:
-        m = cols[c]
-        while m:
-            low = m & -m
-            counts[low.bit_length() - 1] += 1
-            m ^= low
-    out = 0
-    for i, k in enumerate(counts):
-        if k > half:
-            out |= 1 << i
+def _bool_columns(matrix) -> np.ndarray:
+    """The columns of a 2-D 0/1 matrix as the rows of a contiguous bool array."""
+    m = np.asarray(matrix)
+    if m.ndim != 2:
+        raise InputError("expected a 2-D boolean matrix")
+    if max(m.shape) >= 1 << 24:
+        raise InputError("float32 distances are exact only below 2**24 rows and columns")
+    return np.ascontiguousarray(m.T, dtype=bool)
+
+
+def _distance_tiles(a: np.ndarray, b: np.ndarray):
+    """Yield (i, j, d): d[p, q] is the Hamming distance between a[i + p] and
+    b[j + q], a float32 tile of at most TILE x TILE, computed as
+    |a| + |b| - 2 a.b.  With fewer than 2**24 rows every intermediate is an
+    integer that float32 holds exactly."""
+    na = np.count_nonzero(a, axis=1).astype(np.float32)
+    nb = np.count_nonzero(b, axis=1).astype(np.float32)
+    for i in range(0, len(a), TILE):
+        fa = a[i : i + TILE].astype(np.float32)
+        for j in range(0, len(b), TILE):
+            dot = fa @ b[j : j + TILE].astype(np.float32).T
+            yield i, j, (nb[j : j + TILE] - 2 * dot) + na[i : i + TILE, None]
+
+
+def _within(a: np.ndarray, b: np.ndarray, radius: int) -> np.ndarray:
+    """Bool matrix: out[p, q] says a[p] and b[q] differ in at most radius places."""
+    out = np.empty((len(a), len(b)), dtype=bool)
+    for i, j, d in _distance_tiles(a, b):
+        out[i : i + TILE, j : j + TILE] = d <= radius
+    return out
+
+
+def _nearest(a: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of and distance to each row's nearest center; the first one on ties."""
+    best = np.zeros(len(a), dtype=np.intp)
+    dist = np.full(len(a), np.inf, dtype=np.float32)
+    for i, j, d in _distance_tiles(a, centers):
+        k = d.argmin(axis=1)
+        dk = d[np.arange(len(d)), k]
+        better = dk < dist[i : i + TILE]  # strict: an earlier tile keeps its tie
+        best[i : i + TILE][better] = j + k[better]
+        dist[i : i + TILE][better] = dk[better]
+    return best, dist.astype(np.int64)
+
+
+def _majority(cols: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Coordinate-wise strict majority of the columns carrying each label 0..k-1."""
+    sizes = np.bincount(labels, minlength=k)
+    out = np.empty((k, cols.shape[1]), dtype=bool)
+    for g in range(0, k, TILE):
+        onehot = (labels == np.arange(g, min(g + TILE, k))[:, None]).astype(np.float32)
+        for r in range(0, cols.shape[1], TILE):
+            counts = onehot @ cols[:, r : r + TILE].astype(np.float32)
+            out[g : g + TILE, r : r + TILE] = 2 * counts > sizes[g : g + TILE, None]
     return out
 
 
@@ -112,76 +140,63 @@ def greedy_covering(
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
-    cols, n_rows = _column_masks(matrix)
-    nc = len(cols)
+    cols = _bool_columns(matrix)
+    nc, n_rows = cols.shape
     if nc == 0:
         return CoveringResult(radius, [], [], 0, n_rows)
+    reach = min(radius, n_rows)  # no distance exceeds n_rows; keeps float32 compares finite
 
     order = list(range(nc))
     if shuffle_seed is not None:
         philox(shuffle_seed, STREAM_ANALYSIS).shuffle(order)
 
-    groups = _first_fit(cols, radius, order)
+    near = _within(cols, cols, reach)
+    unassigned = np.ones(nc, dtype=bool)
+    labels = np.empty(nc, dtype=np.intp)
+    seeds: list[int] = []
+    for c in order:
+        if unassigned[c]:
+            members = near[c] & unassigned
+            labels[members] = len(seeds)
+            unassigned ^= members
+            seeds.append(c)
+    del near
 
     if not refine:
-        centers = [cols[g[0]] for g in groups]
-        assign = [0] * nc
-        for gi, g in enumerate(groups):
-            for c in g:
-                assign[c] = gi
-        return CoveringResult(radius, centers, assign, len(centers), n_rows)
+        centers = rows_to_masks(cols[seeds])
+        return CoveringResult(radius, centers, labels.tolist(), len(seeds), n_rows)
 
     # a couple of Lloyd rounds with majority-vote centers
-    centers = [_majority_center(cols, g, n_rows) for g in groups]
+    centers = _majority(cols, labels, len(seeds))
     for _ in range(2):
-        groups = [[] for _ in centers]
-        for c in range(nc):
-            best, bd = 0, n_rows + 1
-            cm = cols[c]
-            for k, ctr in enumerate(centers):
-                d = (ctr ^ cm).bit_count()
-                if d < bd:
-                    best, bd = k, d
-            groups[best].append(c)
-        keep = [k for k, g in enumerate(groups) if g]
-        centers = [_majority_center(cols, groups[k], n_rows) for k in keep]
+        best, _ = _nearest(cols, centers)
+        keep, labels = np.unique(best, return_inverse=True)
+        centers = _majority(cols, labels.ravel(), len(keep))
 
     # greedy set cover over the refined balls
-    ball = [
-        {c for c in range(nc) if (ctr ^ cols[c]).bit_count() <= radius} for ctr in centers
-    ]
-    uncovered = set(range(nc))
+    ball = _within(centers, cols, reach)
+    gain = np.count_nonzero(ball, axis=1)
+    uncovered = np.ones(nc, dtype=bool)
     chosen: list[int] = []
-    while uncovered:
-        best, gain = -1, -1
-        for k in range(len(centers)):
-            g = len(ball[k] & uncovered)
-            if g > gain:
-                best, gain = k, g
-        if gain <= 0:
+    while True:
+        k = int(np.argmax(gain))  # the first maximum
+        if gain[k] == 0:
             break
-        chosen.append(best)
-        uncovered -= ball[best]
+        chosen.append(k)
+        newly = ball[k] & uncovered
+        gain -= np.count_nonzero(ball[:, newly], axis=1)
+        uncovered ^= newly
 
-    final_centers = [centers[k] for k in chosen]
     # stragglers outside every refined ball fall back to their own column
-    for c in sorted(uncovered):
-        final_centers.append(cols[c])
-
-    assign = [0] * nc
-    for c in range(nc):
-        cm = cols[c]
-        best, bd = 0, n_rows + 1
-        for k, ctr in enumerate(final_centers):
-            d = (ctr ^ cm).bit_count()
-            if d < bd:
-                best, bd = k, d
-        if bd > radius:
-            raise InternalCheckError(
-                f"covering self-check failed: column {c} at distance {bd} > {radius}"
-            )
-        assign[c] = best
-    return CoveringResult(radius, final_centers, assign, len(final_centers), n_rows)
+    final = np.concatenate([centers[chosen], cols[np.flatnonzero(uncovered)]])
+    assign, dist = _nearest(cols, final)
+    far = np.flatnonzero(dist > radius)
+    if len(far):
+        c = int(far[0])
+        raise InternalCheckError(
+            f"covering self-check failed: column {c} at distance {dist[c]} > {radius}"
+        )
+    return CoveringResult(radius, rows_to_masks(final), assign.tolist(), len(final), n_rows)
 
 
 def girl_side_covering(prefs: PreferenceMatrices, radius: int, **kw) -> CoveringResult:
@@ -250,8 +265,10 @@ def sampled_agreement_trial(matrix, target: int, beta: float, k: int, rng) -> Sa
     from the target in full Hamming distance are the rare event the sampled
     test is allowed to miss (probability at most r^(1-beta)).
     """
-    cols, r = _column_masks(matrix)
-    c = len(cols)
+    m = np.asarray(matrix, dtype=bool)
+    if m.ndim != 2:
+        raise InputError("expected a 2-D boolean matrix")
+    r, c = m.shape
     if not (r >= c > 1):
         raise InputError("need a matrix with r >= c > 1")
     if k > r:
@@ -271,21 +288,16 @@ def sampled_agreement_trial(matrix, target: int, beta: float, k: int, rng) -> Sa
             if i not in seen:
                 seen.add(i)
                 rows.append(i)
-    sample_mask = 0
-    for i in rows:
-        sample_mask |= 1 << int(i)
+    sample = np.zeros(r, dtype=bool)
+    sample[rows] = True
 
-    tgt = cols[target]
-    agreeing = []
-    dists = []
-    for j in range(c):
-        if (cols[j] ^ tgt) & sample_mask:
-            continue
-        agreeing.append(j)
-        dists.append((cols[j] ^ tgt).bit_count())
+    differs = m != m[:, target : target + 1]
+    agreeing = np.flatnonzero(~differs[sample].any(axis=0))
+    dists = np.count_nonzero(differs[:, agreeing], axis=0)
     bound = (beta * r / k) * math.log(r)
     return SampleAgreementTrial(
-        r, c, target, tuple(int(i) for i in rows), beta, tuple(agreeing), tuple(dists), bound
+        r, c, target, tuple(int(i) for i in rows), beta,
+        tuple(agreeing.tolist()), tuple(dists.tolist()), bound,
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -317,23 +318,38 @@ def _write_manifest(path, config, prefs, mg):
 # ---------------------------------------------------------------- traces
 
 
+TRACE_HEADER = "t,boy_arrival,girl_selected,sign_bg,girl_arrival,boy_selected,sign_gb"
+
+
 def write_trace(path, trace: RoundTrace) -> None:
-    lines = ["t,boy_arrival,girl_selected,sign_bg,girl_arrival,boy_selected,sign_gb"]
-    for i in range(len(trace)):
-        lines.append(
-            f"{i + 1},{trace.boy_arrivals[i]},{trace.girls_selected[i]},"
-            f"{trace.signs_bg[i]},{trace.girl_arrivals[i]},{trace.boys_selected[i]},"
-            f"{trace.signs_gb[i]}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    cols = (trace.boy_arrivals, trace.girls_selected, trace.signs_bg,
+            trace.girl_arrivals, trace.boys_selected, trace.signs_gb)
+    rows = zip(range(1, len(trace) + 1), *(c.tolist() for c in cols))
+    lines = map("%d,%d,%d,%d,%d,%d,%d".__mod__, rows)
+    Path(path).write_text("\n".join([TRACE_HEADER, *lines]) + "\n")
 
 
 def read_trace(path) -> RoundTrace:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "t,boy_arrival,girl_selected,sign_bg,girl_arrival,boy_selected,sign_gb":
-        raise InputError(f"{path}: not a trace file")
-    rows = [line.split(",") for line in lines[1:] if line]
-    arr = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
+    """Parse a trace file; a malformed one raises InputError naming the problem."""
+    with open(path) as f:
+        if f.readline().rstrip("\r\n") != TRACE_HEADER:
+            raise InputError(f"{path}: not a trace file")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rounds: reported below
+                arr = np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError as e:
+            raise InputError(f"{path}: malformed trace: {str(e).split(';')[0]}") from None
+    if len(arr) == 0:
+        raise InputError(f"{path}: the trace has no rounds")
+    if arr.shape[1] != 7:
+        raise InputError(f"{path}: expected 7 fields per round, got {arr.shape[1]}")
+    off = np.flatnonzero(arr[:, 0] != np.arange(1, len(arr) + 1))
+    if len(off):
+        i = int(off[0])
+        raise InputError(
+            f"{path}: rounds must be numbered 1..{len(arr)}; data row {i + 1} has t = {arr[i, 0]}"
+        )
     return RoundTrace(
         arr[:, 1].astype(np.int32),
         arr[:, 2].astype(np.int32),

@@ -199,3 +199,160 @@ def cluster_bound_loop(prefs, side, s_prime):
             break
         rho = max(rho + 1, int(rho * 1.5))
     return best
+
+
+def _loop_first_fit(cols, radius, order):
+    groups = []
+    unassigned = set(order)
+    for c in order:
+        if c not in unassigned:
+            continue
+        center = cols[c]
+        unassigned.discard(c)
+        grp = [c]
+        for x in list(unassigned):
+            if (center ^ cols[x]).bit_count() <= radius:
+                unassigned.discard(x)
+                grp.append(x)
+        groups.append(grp)
+    return groups
+
+
+def _loop_majority_center(cols, group, n_rows):
+    if len(group) == 1:
+        return cols[group[0]]
+    half = len(group) / 2.0
+    counts = [0] * n_rows
+    for c in group:
+        m = cols[c]
+        while m:
+            low = m & -m
+            counts[low.bit_length() - 1] += 1
+            m ^= low
+    out = 0
+    for i, k in enumerate(counts):
+        if k > half:
+            out |= 1 << i
+    return out
+
+
+def greedy_covering_loop(matrix, radius, *, refine=True, shuffle_seed=None):
+    """``analysis.greedy_covering`` as one Python loop over int column bitsets,
+    one ``bit_count()`` per (center, column) pair: first fit, two Lloyd
+    rounds with majority centers, greedy set cover, nearest-center
+    assignment.  Returns an ``analysis.CoveringResult``."""
+    import numpy as np
+
+    from matchlab.analysis import CoveringResult
+    from matchlab.errors import InternalCheckError
+    from matchlab.rng import STREAM_ANALYSIS, philox
+
+    m = np.asarray(matrix, dtype=bool)
+    n_rows, nc = m.shape
+    cols = [sum(1 << i for i, v in enumerate(m[:, j].tolist()) if v) for j in range(nc)]
+    if nc == 0:
+        return CoveringResult(radius, [], [], 0, n_rows)
+
+    order = list(range(nc))
+    if shuffle_seed is not None:
+        philox(shuffle_seed, STREAM_ANALYSIS).shuffle(order)
+
+    groups = _loop_first_fit(cols, radius, order)
+
+    if not refine:
+        centers = [cols[g[0]] for g in groups]
+        assign = [0] * nc
+        for gi, g in enumerate(groups):
+            for c in g:
+                assign[c] = gi
+        return CoveringResult(radius, centers, assign, len(centers), n_rows)
+
+    centers = [_loop_majority_center(cols, g, n_rows) for g in groups]
+    for _ in range(2):
+        groups = [[] for _ in centers]
+        for c in range(nc):
+            best, bd = 0, n_rows + 1
+            cm = cols[c]
+            for k, ctr in enumerate(centers):
+                d = (ctr ^ cm).bit_count()
+                if d < bd:
+                    best, bd = k, d
+            groups[best].append(c)
+        keep = [k for k, g in enumerate(groups) if g]
+        centers = [_loop_majority_center(cols, groups[k], n_rows) for k in keep]
+
+    ball = [
+        {c for c in range(nc) if (ctr ^ cols[c]).bit_count() <= radius} for ctr in centers
+    ]
+    uncovered = set(range(nc))
+    chosen = []
+    while uncovered:
+        best, gain = -1, -1
+        for k in range(len(centers)):
+            g = len(ball[k] & uncovered)
+            if g > gain:
+                best, gain = k, g
+        if gain <= 0:
+            break
+        chosen.append(best)
+        uncovered -= ball[best]
+
+    final_centers = [centers[k] for k in chosen]
+    for c in sorted(uncovered):
+        final_centers.append(cols[c])
+
+    assign = [0] * nc
+    for c in range(nc):
+        cm = cols[c]
+        best, bd = 0, n_rows + 1
+        for k, ctr in enumerate(final_centers):
+            d = (ctr ^ cm).bit_count()
+            if d < bd:
+                best, bd = k, d
+        if bd > radius:
+            raise InternalCheckError(
+                f"covering self-check failed: column {c} at distance {bd} > {radius}"
+            )
+        assign[c] = best
+    return CoveringResult(radius, final_centers, assign, len(final_centers), n_rows)
+
+
+def sampled_agreement_trial_loop(matrix, target, beta, k, rng):
+    """``analysis.sampled_agreement_trial`` over int column bitsets: the same
+    row draws from ``rng``, then one sample-mask test and one ``bit_count()``
+    per column."""
+    import math
+
+    import numpy as np
+
+    from matchlab.analysis import SampleAgreementTrial
+
+    m = np.asarray(matrix, dtype=bool)
+    r, c = m.shape
+    cols = [sum(1 << i for i, v in enumerate(m[:, j].tolist()) if v) for j in range(c)]
+    if isinstance(rng, np.random.Generator):
+        rows = rng.choice(r, size=k, replace=False).tolist()
+    else:
+        rows = []
+        seen = set()
+        while len(rows) < k:
+            i = rng.randint(r)
+            if i not in seen:
+                seen.add(i)
+                rows.append(i)
+    sample_mask = 0
+    for i in rows:
+        sample_mask |= 1 << int(i)
+
+    tgt = cols[target]
+    agreeing = []
+    dists = []
+    for j in range(c):
+        if (cols[j] ^ tgt) & sample_mask:
+            continue
+        agreeing.append(j)
+        dists.append((cols[j] ^ tgt).bit_count())
+    bound = (beta * r / k) * math.log(r)
+    return SampleAgreementTrial(
+        r, c, target, tuple(int(i) for i in rows), beta, tuple(agreeing), tuple(dists), bound
+    )

@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchlab import (
@@ -15,21 +16,24 @@ from matchlab import (
     make_policy,
     run_protocol,
 )
+import matchlab.analysis as analysis
 from matchlab.analysis import (
     boy_side_covering,
     cluster_bound,
     girl_side_covering,
     table_radii,
-    _column_masks,
     aggregate_runs,
 )
+from matchlab.core import rows_to_masks
 from matchlab.rng import philox
 
 from oracles import (
     cluster_bound_loop,
     exact_column_cover,
+    greedy_covering_loop,
     hamming_bitloop,
     packing_lower_bound,
+    sampled_agreement_trial_loop,
     two_pass_stats,
 )
 
@@ -76,7 +80,7 @@ def test_covering_assignment_is_valid():
     m = gen.random((40, 30)) < 0.5
     for radius in (0, 3, 10, 40):
         res = greedy_covering(m, radius)
-        cols, _ = _column_masks(m)
+        cols = rows_to_masks(m.T)
         assert res.validate(cols)
         assert 1 <= res.size <= 30
 
@@ -116,7 +120,7 @@ def test_first_fit_with_shuffle_is_valid(seed, radius):
     # each first-fit center is its group's seed column, not the group's
     # lowest column index, which may lie farther than the radius from it
     boys, _ = gen_clustered(ClusteredSpec(n=60, c_b=5, c_g=5, seed=seed)).to_bool_arrays()
-    cols, _ = _column_masks(boys)
+    cols = rows_to_masks(boys.T)
     assert greedy_covering(boys, radius, refine=False, shuffle_seed=1).validate(cols)
 
 
@@ -125,12 +129,58 @@ def test_first_fit_with_shuffle_is_valid(seed, radius):
 def test_covering_sandwich_small(radius, ncols, seed):
     gen = philox(seed, 17)
     m = gen.random((12, ncols)) < 0.5
-    cols, _ = _column_masks(m)
+    cols = rows_to_masks(m.T)
     res = greedy_covering(m, radius)
     assert res.validate(cols)
     lower = packing_lower_bound(cols, radius)
     exact = exact_column_cover(cols, radius)
     assert lower <= res.size <= 2 * exact
+
+
+def _same_covering(a, b):
+    return (a.centers, a.assignment, a.size) == (b.centers, b.assignment, b.size)
+
+
+@st.composite
+def small_matrices(draw):
+    # noisy copies of a few column patterns: duplicate columns and tied
+    # distances are common
+    n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    n_patterns = draw(st.integers(1, 12))
+    flip = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    gen = philox(draw(st.integers(0, 2**32)), 23)
+    patterns = gen.random((n_rows, n_patterns)) < 0.5
+    m = patterns[:, gen.integers(0, n_patterns, size=n_cols)]
+    return m ^ (gen.random((n_rows, n_cols)) < flip)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_matrices(),
+    st.integers(0, 14),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 2**32)),
+    st.sampled_from([1, 2, 5, analysis.TILE]),
+)
+@example(  # two columns outside every refined ball: stragglers, in column order
+    np.array([[1, 0, 1, 1, 1, 1, 0, 0, 0], [1, 0, 1, 1, 0, 1, 1, 0, 0], [1, 1, 0, 0, 1, 0, 1, 0, 0]], dtype=bool),
+    1, True, None, 128,
+)
+def test_covering_matches_loop_oracle(m, radius, refine, shuffle_seed, tile):
+    # small tiles make tiny matrices span several tiles
+    with mock.patch.object(analysis, "TILE", tile):
+        got = greedy_covering(m, radius, refine=refine, shuffle_seed=shuffle_seed)
+    want = greedy_covering_loop(m, radius, refine=refine, shuffle_seed=shuffle_seed)
+    assert _same_covering(got, want)
+    assert got.validate(rows_to_masks(m.T))
+
+
+def test_covering_matches_loop_oracle_paper_instance():
+    prefs = gen_clustered(ClusteredSpec(n=400, c_b=20, c_g=22, seed=0))
+    for m in prefs.to_bool_arrays():
+        for radius in table_radii(400):
+            got = greedy_covering(m, radius, shuffle_seed=0)
+            assert _same_covering(got, greedy_covering_loop(m, radius, shuffle_seed=0))
 
 
 def test_cluster_bound_flags_reasonably():
@@ -203,6 +253,30 @@ def test_trial_input_validation():
         sampled_agreement_trial(m, target=0, beta=3, k=64, rng=gen)  # k > r
     with pytest.raises(InputError):
         sampled_agreement_trial(m, target=0, beta=3, k=3, rng=gen)  # k below ceil(beta ln r)
+
+
+@pytest.mark.parametrize("rng_kind", ["generator", "substream"])
+def test_trial_matches_loop_oracle(rng_kind):
+    from matchlab.rng import SubstreamRng
+
+    def make_rng():
+        return philox(6, 19) if rng_kind == "generator" else SubstreamRng(6, 19)
+
+    gen = philox(5, 19)
+    r, k = 96, math.ceil(3 * math.log(96))
+    got_rng, want_rng = make_rng(), make_rng()
+    several = inexact = 0
+    for trial in range(40):
+        # noisy copies of four patterns: agreeing sets with several columns
+        bases = gen.random((r, 4)) < 0.5
+        m = bases[:, gen.integers(0, 4, size=48)] ^ (gen.random((r, 48)) < 0.01 * (trial % 8))
+        target = int(gen.integers(0, 48))
+        got = sampled_agreement_trial(m, target=target, beta=3, k=k, rng=got_rng)
+        want = sampled_agreement_trial_loop(m, target=target, beta=3, k=k, rng=want_rng)
+        assert got == want
+        several += len(got.agreeing) > 1
+        inexact += any(got.distances)
+    assert several >= 20 and inexact >= 5  # the cases are exercised
 
 
 def test_trial_violation_frequency_bound_small():

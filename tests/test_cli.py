@@ -120,9 +120,18 @@ def test_trace_roundtrip_and_yardstick(tmp_path, capsys):
     r = run_protocol(prefs, make_policy("oomm"), 120, seed=9)
     tpath = tmp_path / "run.trace.csv"
     write_trace(tpath, r.trace)
+    tr = r.trace
+    fields = (tr.boy_arrivals, tr.girls_selected, tr.signs_bg, tr.girl_arrivals, tr.boys_selected, tr.signs_gb)
+    expected = ["t,boy_arrival,girl_selected,sign_bg,girl_arrival,boy_selected,sign_gb"]
+    expected += [",".join(str(int(v)) for v in (t, *row)) for t, row in enumerate(zip(*fields), start=1)]
+    assert tpath.read_text() == "\n".join(expected) + "\n"
     back = read_trace(tpath)
-    assert (back.boy_arrivals == r.trace.boy_arrivals).all()
-    assert (back.signs_gb == r.trace.signs_gb).all()
+    for name in ("boy_arrivals", "girls_selected", "signs_bg", "girl_arrivals", "boys_selected", "signs_gb"):
+        assert getattr(back, name).dtype == getattr(tr, name).dtype
+        assert (getattr(back, name) == getattr(tr, name)).all()
+    again = tmp_path / "again.trace.csv"
+    write_trace(again, back)
+    assert again.read_bytes() == tpath.read_bytes()
     capsys.readouterr()
     assert run_cli("yardstick", inst, tpath) == 0
     out = capsys.readouterr().out
@@ -280,3 +289,21 @@ def test_yardstick_rejects_index_outside_instance(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("yardstick", small, tpath) == 2
     assert "outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["3,1,x,1,2,3,0", "1,2", "3,0,1,1,2,3", "renumbered", "no rounds"])
+def test_yardstick_malformed_trace_exits_2_with_one_line(tmp_path, capsys, bad):
+    # a non-integer field and a short row used to escape as ValueError and
+    # IndexError tracebacks; a wrong field count, a round out of sequence
+    # and a trace without rounds are rejected too
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    tpath = tmp_path / "run.trace.csv"
+    write_trace(tpath, run_protocol(read_instance(inst), make_policy("uromm"), 2, seed=0).trace)
+    header, first, second = tpath.read_text().splitlines()
+    rows = {"renumbered": [first, "3" + second[1:]], "no rounds": []}.get(bad, [first, second, bad])
+    tpath.write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert run_cli("yardstick", inst, tpath) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tpath) in err
