@@ -68,13 +68,14 @@ TILE = 128
 
 
 def _bool_columns(matrix) -> np.ndarray:
-    """The columns of a 2-D 0/1 matrix as the rows of a contiguous bool array."""
+    """The columns of a 2-D 0/1 matrix as the rows of a bool array (a view of
+    a bool matrix, not a copy)."""
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise InputError("expected a 2-D boolean matrix")
     if max(m.shape) >= 1 << 24:
         raise InputError("float32 distances are exact only below 2**24 rows and columns")
-    return np.ascontiguousarray(m.T, dtype=bool)
+    return m.astype(bool, copy=False).T
 
 
 def _distance_tiles(a: np.ndarray, b: np.ndarray):
@@ -122,6 +123,23 @@ def _majority(cols: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
             counts = onehot @ cols[:, r : r + TILE].astype(np.float32)
             out[g : g + TILE, r : r + TILE] = 2 * counts > sizes[g : g + TILE, None]
     return out
+
+
+def _set_cover(ball: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Greedy set cover of the columns by the rows of ``ball``: the rows
+    picked, each the first one of largest gain, and the columns no row covers."""
+    gain = np.count_nonzero(ball, axis=1)
+    uncovered = np.ones(ball.shape[1], dtype=bool)
+    chosen: list[int] = []
+    while True:
+        k = int(np.argmax(gain))
+        if gain[k] == 0:
+            break
+        chosen.append(k)
+        newly = ball[k] & uncovered
+        gain -= np.count_nonzero(ball[:, newly], axis=1)
+        uncovered ^= newly
+    return chosen, np.flatnonzero(uncovered)
 
 
 def greedy_covering(
@@ -173,22 +191,11 @@ def greedy_covering(
         keep, labels = np.unique(best, return_inverse=True)
         centers = _majority(cols, labels.ravel(), len(keep))
 
-    # greedy set cover over the refined balls
-    ball = _within(centers, cols, reach)
-    gain = np.count_nonzero(ball, axis=1)
-    uncovered = np.ones(nc, dtype=bool)
-    chosen: list[int] = []
-    while True:
-        k = int(np.argmax(gain))  # the first maximum
-        if gain[k] == 0:
-            break
-        chosen.append(k)
-        newly = ball[k] & uncovered
-        gain -= np.count_nonzero(ball[:, newly], axis=1)
-        uncovered ^= newly
-
-    # stragglers outside every refined ball fall back to their own column
-    final = np.concatenate([centers[chosen], cols[np.flatnonzero(uncovered)]])
+    # greedy set cover over the refined balls; stragglers outside every
+    # refined ball fall back to their own column
+    chosen, stragglers = _set_cover(_within(centers, cols, reach))
+    final = np.concatenate([centers[chosen], cols[stragglers]])
+    del centers  # frees K x n_rows bools before the final scan
     assign, dist = _nearest(cols, final)
     far = np.flatnonzero(dist > radius)
     if len(far):

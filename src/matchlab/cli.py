@@ -319,18 +319,25 @@ def _write_manifest(path, config, prefs, mg):
 
 
 TRACE_HEADER = "t,boy_arrival,girl_selected,sign_bg,girl_arrival,boy_selected,sign_gb"
+TRACE_BLOCK = 8192
 
 
 def write_trace(path, trace: RoundTrace) -> None:
     cols = (trace.boy_arrivals, trace.girls_selected, trace.signs_bg,
             trace.girl_arrivals, trace.boys_selected, trace.signs_gb)
-    rows = zip(range(1, len(trace) + 1), *(c.tolist() for c in cols))
-    lines = map("%d,%d,%d,%d,%d,%d,%d".__mod__, rows)
-    Path(path).write_text("\n".join([TRACE_HEADER, *lines]) + "\n")
+    with open(path, "w") as f:
+        f.write(TRACE_HEADER + "\n")
+        # a block of rounds at a time, so the text never exists whole
+        for s in range(0, len(trace), TRACE_BLOCK):
+            block = (c[s : s + TRACE_BLOCK].tolist() for c in cols)
+            rows = zip(range(s + 1, s + TRACE_BLOCK + 1), *block)
+            f.write("".join(map("%d,%d,%d,%d,%d,%d,%d\n".__mod__, rows)))
 
 
 def read_trace(path) -> RoundTrace:
-    """Parse a trace file; a malformed one raises InputError naming the problem."""
+    """Parse a trace file; a missing or malformed one raises InputError."""
+    if not Path(path).exists():
+        raise InputError(f"trace file not found: {path}")
     with open(path) as f:
         if f.readline().rstrip("\r\n") != TRACE_HEADER:
             raise InputError(f"{path}: not a trace file")

@@ -291,11 +291,11 @@ def test_yardstick_rejects_index_outside_instance(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["3,1,x,1,2,3,0", "1,2", "3,0,1,1,2,3", "renumbered", "no rounds"])
+@pytest.mark.parametrize("bad", ["3,1,x,1,2,3,0", "1,2", "3,0,1,1,2,3", "renumbered", "no rounds", "missing"])
 def test_yardstick_malformed_trace_exits_2_with_one_line(tmp_path, capsys, bad):
     # a non-integer field and a short row used to escape as ValueError and
-    # IndexError tracebacks; a wrong field count, a round out of sequence
-    # and a trace without rounds are rejected too
+    # IndexError tracebacks; a wrong field count, a round out of sequence,
+    # a trace without rounds and a missing file are rejected too
     inst = tmp_path / "i.txt"
     run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
     tpath = tmp_path / "run.trace.csv"
@@ -303,6 +303,8 @@ def test_yardstick_malformed_trace_exits_2_with_one_line(tmp_path, capsys, bad):
     header, first, second = tpath.read_text().splitlines()
     rows = {"renumbered": [first, "3" + second[1:]], "no rounds": []}.get(bad, [first, second, bad])
     tpath.write_text("\n".join([header, *rows]) + "\n")
+    if bad == "missing":
+        tpath.unlink()
     capsys.readouterr()
     assert run_cli("yardstick", inst, tpath) == 2
     err = capsys.readouterr().err
