@@ -357,6 +357,13 @@ def read_trace(path) -> RoundTrace:
         raise InputError(
             f"{path}: rounds must be numbered 1..{len(arr)}; data row {i + 1} has t = {arr[i, 0]}"
         )
+    # fields the int32/int8 narrowing below would wrap into valid-looking values
+    bad = (arr[:, [1, 2, 4, 5]] >> 31 != 0).any(axis=1) | (np.abs(arr[:, [3, 6]]) != 1).any(axis=1)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InputError(
+            f"{path}: round {i + 1} has a user index outside [0, 2**31) or a sign other than 1 or -1"
+        )
     return RoundTrace(
         arr[:, 1].astype(np.int32),
         arr[:, 2].astype(np.int32),

@@ -163,7 +163,10 @@ def small_matrices(draw):
     st.sampled_from([1, 2, 5, analysis.TILE]),
 )
 @example(  # two columns outside every refined ball: stragglers, in column order
-    np.array([[1, 0, 1, 1, 1, 1, 0, 0, 0], [1, 0, 1, 1, 0, 1, 1, 0, 0], [1, 1, 0, 0, 1, 0, 1, 0, 0]], dtype=bool),
+    np.array(
+        [[1, 0, 1, 1, 1, 1, 0, 0, 0], [1, 0, 1, 1, 0, 1, 1, 0, 0], [1, 1, 0, 0, 1, 0, 1, 0, 0]],
+        dtype=bool,
+    ),
     1, True, None, 128,
 )
 def test_covering_matches_loop_oracle(m, radius, refine, shuffle_seed, tile):

@@ -291,11 +291,16 @@ def test_yardstick_rejects_index_outside_instance(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["3,1,x,1,2,3,0", "1,2", "3,0,1,1,2,3", "renumbered", "no rounds", "missing"])
+@pytest.mark.parametrize(
+    "bad",
+    ["3,1,x,1,2,3,0", "1,2", "3,0,1,1,2,3", "renumbered", "no rounds", "missing",
+     "3,4294967296,1,1,2,3,1", "3,0,1,0,2,3,1"],
+)
 def test_yardstick_malformed_trace_exits_2_with_one_line(tmp_path, capsys, bad):
     # a non-integer field and a short row used to escape as ValueError and
     # IndexError tracebacks; a wrong field count, a round out of sequence,
-    # a trace without rounds and a missing file are rejected too
+    # a trace without rounds and a missing file are rejected too, as are a
+    # user index that int32 would wrap (2**32 read as user 0) and a sign of 0
     inst = tmp_path / "i.txt"
     run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
     tpath = tmp_path / "run.trace.csv"
