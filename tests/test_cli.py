@@ -294,19 +294,31 @@ def test_yardstick_rejects_index_outside_instance(tmp_path, capsys):
 @pytest.mark.parametrize(
     "bad",
     ["3,1,x,1,2,3,0", "1,2", "3,0,1,1,2,3", "renumbered", "no rounds", "missing",
-     "3,4294967296,1,1,2,3,1", "3,0,1,0,2,3,1"],
+     "wrapped index", "doubled sign"],
 )
 def test_yardstick_malformed_trace_exits_2_with_one_line(tmp_path, capsys, bad):
     # a non-integer field and a short row used to escape as ValueError and
     # IndexError tracebacks; a wrong field count, a round out of sequence,
     # a trace without rounds and a missing file are rejected too, as are a
-    # user index that int32 would wrap (2**32 read as user 0) and a sign of 0
+    # user index that int32 would wrap (b + 2**32 was scored as user b) and
+    # a sign other than 1 or -1
     inst = tmp_path / "i.txt"
     run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
     tpath = tmp_path / "run.trace.csv"
     write_trace(tpath, run_protocol(read_instance(inst), make_policy("uromm"), 2, seed=0).trace)
     header, first, second = tpath.read_text().splitlines()
-    rows = {"renumbered": [first, "3" + second[1:]], "no rounds": []}.get(bad, [first, second, bad])
+
+    def edit(row, field, change):
+        values = row.split(",")
+        values[field] = str(change(int(values[field])))
+        return ",".join(values)
+
+    rows = {
+        "renumbered": [first, edit(second, 0, lambda t: 3)],
+        "no rounds": [],
+        "wrapped index": [first, edit(second, 1, lambda b: b + 2**32)],
+        "doubled sign": [first, edit(second, 3, lambda sign: 2 * sign)],
+    }.get(bad, [first, second, bad])
     tpath.write_text("\n".join([header, *rows]) + "\n")
     if bad == "missing":
         tpath.unlink()
