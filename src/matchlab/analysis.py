@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PreferenceMatrices, rows_to_masks
+from .core import PreferenceMatrices, masks_to_rows, rows_to_masks
 from .errors import InputError, InternalCheckError
 from .rng import STREAM_ANALYSIS, philox
 
@@ -208,14 +208,12 @@ def greedy_covering(
 
 def girl_side_covering(prefs: PreferenceMatrices, radius: int, **kw) -> CoveringResult:
     """Covering of the feedback girls receive (columns of the boy matrix): C^G."""
-    boys, _ = prefs.to_bool_arrays()
-    return greedy_covering(boys, radius, **kw)
+    return greedy_covering(masks_to_rows(prefs.boys_like, prefs.n), radius, **kw)
 
 
 def boy_side_covering(prefs: PreferenceMatrices, radius: int, **kw) -> CoveringResult:
     """Covering of the feedback boys receive (columns of the girl matrix): C^B."""
-    _, girls = prefs.to_bool_arrays()
-    return greedy_covering(girls, radius, **kw)
+    return greedy_covering(masks_to_rows(prefs.girls_like, prefs.n), radius, **kw)
 
 
 def table_radii(n: int) -> list[int]:
@@ -234,8 +232,7 @@ def cluster_bound(prefs: PreferenceMatrices, side: str, s_prime: int) -> int:
     before a covering once the linear term alone reaches the minimum.
     """
     n = prefs.n
-    boys, girls = prefs.to_bool_arrays()
-    matrix = boys if side == "girl" else girls
+    matrix = masks_to_rows(prefs.boys_like if side == "girl" else prefs.girls_like, n)
     sizes: dict[int, int] = {}
     best = n
     rho = 0

@@ -31,7 +31,7 @@ from .core import (
 from .datagen import ClusteredSpec, gen_adversarial_random, gen_block_lowerbound, gen_clustered, gen_random_bipartite
 from .errors import InputError, InternalCheckError, MatchlabError
 from .ingest import binarize, densify, parse_ratings
-from .omniscient import arrival_counts, optimal_matches
+from .omniscient import ArrivalCounts, arrival_counts, optimal_matches
 from .policies import POLICIES, make_policy
 from .protocol import RoundTrace, run_protocol
 
@@ -84,7 +84,8 @@ def parse_config(path) -> ExperimentConfig:
     ``seeds`` is either a count (seeds are then base_seed..base_seed+k-1)
     or an explicit comma list.  Per-policy overrides use dotted keys, e.g.
     ``smile.S=6``.  An unknown key, a key given twice, a value that is not a
-    number where one is needed, or a policy or seed listed twice is an
+    number where one is needed, a policy parameter out of its range (see
+    ``policies.smile.check_params``), or a policy or seed listed twice is an
     ``InputError``.
     """
     kv: dict[str, str] = {}
@@ -138,6 +139,11 @@ def parse_config(path) -> ExperimentConfig:
         seeds = [base_seed + i for i in range(count)]
     if not seeds:
         raise InputError(f"{path}: seeds must be nonempty")
+    for pol, params in policy_params.items():
+        try:
+            POLICIES[pol](**params)  # the constructor rejects an out-of-range value
+        except InputError as e:
+            raise InputError(f"{path}: {e}") from None
     return ExperimentConfig(
         instance=Path(need("instance")),
         policies=policies,
@@ -165,7 +171,29 @@ def _load_instance(path) -> PreferenceMatrices:
 # ---------------------------------------------------------------- run
 
 
+@dataclass(frozen=True)
+class RunRecord:
+    """What the run tables read of one finished run."""
+
+    seed: int
+    T: int
+    curve: np.ndarray
+    auc_sum: int
+    matches: int
+    diagnostics: dict
+
+
 def cmd_run(config: ExperimentConfig) -> int:
+    """Run every policy on every seed and write the run directory.
+
+    One run is held at a time: each is reduced to a ``RunRecord`` as soon
+    as it ends, and with ``save_traces`` its trace file is written then, so
+    peak memory does not grow with the number of seeds.  M*_T of a seed
+    comes from the arrival counts of the first policy's run of it (the
+    arrivals of a seed are the same under every policy) and is solved
+    after that run is released; every run is checked against it as it
+    finishes.
+    """
     prefs = _load_instance(config.instance)
     n = prefs.n
     if config.T < 1:
@@ -176,47 +204,51 @@ def cmd_run(config: ExperimentConfig) -> int:
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
 
-    results: dict[str, list] = {p: [] for p in config.policies}
-    diags: dict[tuple[str, int], dict] = {}
-    for pol_name in config.policies:
-        params = config.policy_params.get(pol_name, {})
-        for seed in config.seeds:
-            policy = make_policy(pol_name, **params)
-            results[pol_name].append(run_protocol(prefs, policy, config.T, seed, config.curve_stride))
-            diags[(pol_name, seed)] = policy.diagnostics()
+    if config.save_traces:
+        (out / "traces").mkdir(exist_ok=True)
 
-    # yardstick per seed (arrivals are shared across policies for a seed)
+    results: dict[str, list[RunRecord]] = {p: [] for p in config.policies}
     mstar: dict[int, int] = {}
-    first_policy_runs = results[config.policies[0]]
-    for run in first_policy_runs:
-        mstar[run.seed] = optimal_matches(mg, arrival_counts(run.trace))
-    for pol_name, runs in results.items():
-        for run in runs:
-            if run.ledger.matches > mstar[run.seed]:
+    for pol_name in config.policies:
+        for seed in config.seeds:
+            rec, counts = _run_one(config, prefs, pol_name, seed)
+            if counts is not None:
+                mstar[seed] = optimal_matches(mg, counts)
+            if rec.matches > mstar[seed]:
                 raise InternalCheckError(
-                    f"dominance violated: {pol_name} seed {run.seed} uncovered "
-                    f"{run.ledger.matches} > M*_T = {mstar[run.seed]}"
+                    f"dominance violated: {pol_name} seed {seed} uncovered "
+                    f"{rec.matches} > M*_T = {mstar[seed]}"
                 )
+            results[pol_name].append(rec)
 
     _write_manifest(out / "manifest.txt", config, prefs, mg)
     _write_curves(out / "curves.csv", config, results)
     _write_auc(out / "auc.csv", config, results)
     _write_yardstick(out / "yardstick.csv", config, results, mstar, mg)
-    _write_stats(out / "stats.csv", config, results, diags, prefs)
+    _write_stats(out / "stats.csv", config, results, prefs)
     if config.save_runs or (len(config.policies) * len(config.seeds)) <= 4:
         rdir = out / "runs"
         rdir.mkdir(exist_ok=True)
-        for pol_name, runs in results.items():
-            for run in runs:
-                _write_run_csv(rdir / f"{pol_name}-{run.seed}.csv", run, config.curve_stride)
-    if config.save_traces:
-        tdir = out / "traces"
-        tdir.mkdir(exist_ok=True)
-        for pol_name, runs in results.items():
-            for run in runs:
-                write_trace(tdir / f"{pol_name}-{run.seed}.trace.csv", run.trace)
+        for pol_name, records in results.items():
+            for rec in records:
+                _write_run_csv(rdir / f"{pol_name}-{rec.seed}.csv", rec, config.curve_stride)
     print(f"wrote {out}")
     return 0
+
+
+def _run_one(config, prefs, pol_name, seed) -> tuple[RunRecord, ArrivalCounts | None]:
+    """One run, its trace saved if asked, reduced to its record; with the
+    run's arrival counts if it is the first policy's.
+
+    The run's trace and ledger die when this returns.
+    """
+    policy = make_policy(pol_name, **config.policy_params.get(pol_name, {}))
+    run = run_protocol(prefs, policy, config.T, seed, config.curve_stride)
+    if config.save_traces:
+        write_trace(config.out / "traces" / f"{pol_name}-{seed}.trace.csv", run.trace)
+    counts = arrival_counts(run.trace) if pol_name == config.policies[0] else None
+    led = run.ledger
+    return RunRecord(seed, run.T, led.curve, led.auc_sum, led.matches, policy.diagnostics()), counts
 
 
 def _recorded_ts(T, stride):
@@ -226,10 +258,10 @@ def _recorded_ts(T, stride):
     return ts
 
 
-def _write_run_csv(path, run, stride):
-    ts = _recorded_ts(run.T, stride)
+def _write_run_csv(path, rec, stride):
+    ts = _recorded_ts(rec.T, stride)
     lines = ["t,matches"]
-    lines += [f"{t},{m}" for t, m in zip(ts, run.ledger.curve.tolist())]
+    lines += [f"{t},{m}" for t, m in zip(ts, rec.curve.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -237,7 +269,7 @@ def _write_curves(path, config, results):
     ts = _recorded_ts(config.T, config.curve_stride)
     cols = []
     for pol in config.policies:
-        curves = np.stack([r.ledger.curve for r in results[pol]])
+        curves = np.stack([r.curve for r in results[pol]])
         cols.append(curves.mean(axis=0))
     lines = ["t," + ",".join(config.policies)]
     for i, t in enumerate(ts):
@@ -253,8 +285,8 @@ def _write_auc(path, config, results):
         "final_std": [],
     }
     for pol in config.policies:
-        aucs = np.array([r.ledger.auc_sum / r.T for r in results[pol]])
-        finals = np.array([r.ledger.matches for r in results[pol]], dtype=float)
+        aucs = np.array([r.auc_sum / r.T for r in results[pol]])
+        finals = np.array([r.matches for r in results[pol]], dtype=float)
         rows["auc_mean"].append(aucs.mean())
         rows["auc_std"].append(aucs.std())
         rows["final_mean"].append(finals.mean())
@@ -268,17 +300,17 @@ def _write_auc(path, config, results):
 def _write_yardstick(path, config, results, mstar, mg):
     lines = ["seed,m_star," + ",".join(f"{p}_final" for p in config.policies)]
     for i, seed in enumerate(config.seeds):
-        finals = [results[p][i].ledger.matches for p in config.policies]
+        finals = [results[p][i].matches for p in config.policies]
         lines.append(f"{seed},{mstar[seed]}," + ",".join(str(f) for f in finals))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_stats(path, config, results, diags, prefs):
+def _write_stats(path, config, results, prefs):
     lines = ["policy,seed,final_matches,auc,c_g,c_b,bound_ok"]
     bound_cache: dict[int, tuple[int, int]] = {}
     for pol in config.policies:
-        for run in results[pol]:
-            d = diags[(pol, run.seed)]
+        for rec in results[pol]:
+            d = rec.diagnostics
             c_g = d.get("c_g", "")
             c_b = d.get("c_b", "")
             bound_ok = ""
@@ -291,10 +323,8 @@ def _write_stats(path, config, results, diags, prefs):
                     )
                 bg, bb = bound_cache[s_prime]
                 bound_ok = "1" if (c_g <= bg and c_b <= bb) else "0"
-            auc = run.ledger.auc_sum / run.T
-            lines.append(
-                f"{pol},{run.seed},{run.ledger.matches},{_fmt(auc)},{c_g},{c_b},{bound_ok}"
-            )
+            auc = rec.auc_sum / rec.T
+            lines.append(f"{pol},{rec.seed},{rec.matches},{_fmt(auc)},{c_g},{c_b},{bound_ok}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

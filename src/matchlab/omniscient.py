@@ -21,6 +21,9 @@ from .errors import InputError
 from .protocol import RoundTrace
 
 
+COUNT_BLOCK = 1 << 20
+
+
 @dataclass(frozen=True)
 class ArrivalCounts:
     boy_counts: tuple[int, ...]
@@ -41,12 +44,19 @@ def arrival_counts(trace: RoundTrace) -> ArrivalCounts:
     """Per-user arrival tallies from steps (1_B)/(1_G) of a trace.
 
     The tallies run up to the largest index that arrived; the flow network
-    pads them to the instance's n.
+    pads them to the instance's n.  ``np.bincount`` widens its input to
+    int64, so it counts ``COUNT_BLOCK`` rounds at a time: a whole int32
+    column would take a transient copy of 8 bytes a round.
     """
     n = int(max(trace.boy_arrivals.max(), trace.girl_arrivals.max())) + 1 if len(trace) else 0
-    boys = np.bincount(trace.boy_arrivals, minlength=n)
-    girls = np.bincount(trace.girl_arrivals, minlength=n)
-    return ArrivalCounts(tuple(int(x) for x in boys), tuple(int(x) for x in girls))
+
+    def tally(col):
+        out = np.zeros(n, dtype=np.int64)
+        for s in range(0, len(col), COUNT_BLOCK):
+            out += np.bincount(col[s : s + COUNT_BLOCK], minlength=n)
+        return tuple(out.tolist())
+
+    return ArrivalCounts(tally(trace.boy_arrivals), tally(trace.girl_arrivals))
 
 
 @dataclass

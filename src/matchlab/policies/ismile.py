@@ -27,7 +27,7 @@ import math
 
 from .base import MatchmakerPolicy, lowest_unqueried
 from .clusters import PolicySide, make_sides
-from .smile import s_bounds
+from .smile import check_params, s_bounds
 
 
 class IsmileSide(PolicySide):
@@ -62,6 +62,7 @@ class IsmilePolicy(MatchmakerPolicy):
     name = "ismile"
 
     def __init__(self, S: int | None = None, tolerance: float | None = None):
+        check_params(self.name, S, tolerance)
         self.forced_S = S
         self.forced_tol = tolerance
 
@@ -186,8 +187,10 @@ class IsmilePolicy(MatchmakerPolicy):
     # ------------------------------------------------------------ reporting
     def diagnostics(self):
         girls, boys = self.girls.clusters, self.boys.clusters
-        return {
-            "S": self.S,
+        out = {"S": self.S}
+        if self.forced_S is not None and self.forced_S != self.S:
+            out["S_requested"] = self.forced_S
+        return out | {
             "S_prime": self.s_prime,
             "tolerance": self.tol,
             "c_g": len(girls.reps),

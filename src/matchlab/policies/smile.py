@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
+from ..errors import InputError
 from .base import MatchmakerPolicy, lowest_unqueried
 from .clusters import PolicySide, make_sides
 from .random_baselines import OommPolicy
@@ -40,6 +41,18 @@ def s_bounds(n: int) -> tuple[int, int]:
     lo = max(1, math.ceil(ln))
     hi = max(lo, math.floor(n / ln))
     return lo, hi
+
+
+def check_params(name: str, S: int | None, tolerance: float | None) -> None:
+    """Reject a forced feedback budget below 1 or a tolerance outside [0, 1).
+
+    A forced S inside the legal range is still clamped into ``s_bounds(n)``
+    once n is known; ``diagnostics()`` then shows the requested S.
+    """
+    if S is not None and S < 1:
+        raise InputError(f"{name}: S must be >= 1, got {S}")
+    if tolerance is not None and not 0 <= tolerance < 1:
+        raise InputError(f"{name}: tolerance must be in [0, 1), got {tolerance}")
 
 
 def s_prime_for(S: int, n: int) -> int:
@@ -130,6 +143,9 @@ class SmilePolicy(MatchmakerPolicy):
     name = "smile"
 
     def __init__(self, S: int | None = None, gamma: float = 1.0, tolerance: float = 0.0):
+        check_params(self.name, S, tolerance)
+        if not 0 < gamma < math.inf:
+            raise InputError(f"{self.name}: gamma must be a finite number > 0, got {gamma}")
         self.forced_S = S
         self.gamma = gamma
         self.tolerance = tolerance
@@ -265,9 +281,10 @@ class SmilePolicy(MatchmakerPolicy):
 
     # ---------------------------------------------------------- reporting
     def diagnostics(self):
-        out = {
-            "phase": self.phase,
-            "S": self.S,
+        out = {"phase": self.phase, "S": self.S}
+        if self.forced_S is not None and self.forced_S != self.S:
+            out["S_requested"] = self.forced_S
+        out.update({
             "S_prime": self.S_prime,
             "m_hat": self.m_hat,
             "m_hat_degenerate": self.m_hat_degenerate,
@@ -275,7 +292,7 @@ class SmilePolicy(MatchmakerPolicy):
             "c_g": len(self.girls.clusters.reps),
             "c_b": len(self.boys.clusters.reps),
             "phase2_ops": self.phase2_ops,
-        }
+        })
         if self.build_ops is not None:
             out["build_ops"] = self.build_ops
         return out

@@ -17,6 +17,7 @@ ledger and never write it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,11 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """Array-backed sequence of the T round records."""
+    """Array-backed sequence of the T round records.
+
+    The engine's columns are int32 (user indices) and int8 (signs) numpy
+    views of the ``array`` buffers it recorded into, 18 bytes a round.
+    """
 
     boy_arrivals: np.ndarray
     girls_selected: np.ndarray
@@ -149,6 +154,11 @@ def run_protocol(
     reads no ledger and is started as ``start(n, T, rng)``).
     ``curve_stride`` > 1 decimates the stored match curve for very long
     runs; the area-under-curve accumulator stays exact either way.
+
+    Selections and signs are written into typed ``array`` buffers of T
+    entries, allocated once, and the trace wraps them with ``np.frombuffer``,
+    so a round costs its 18 bytes once: no list of Python ints, no second
+    copy and no copy on growth is made.
     """
     n = prefs.n
     if T < 1:
@@ -176,11 +186,11 @@ def run_protocol(
     sign_bg = prefs.sign_bg
     sign_gb = prefs.sign_gb
 
-    girls_sel: list[int] = []
-    boys_sel: list[int] = []
-    s_bg: list[int] = []
-    s_gb: list[int] = []
-    curve: list[int] = []
+    girls_sel = array("i", [0]) * T
+    boys_sel = array("i", [0]) * T
+    s_bg = array("b", [0]) * T
+    s_gb = array("b", [0]) * T
+    curve = array("q")
 
     matches = 0
     auc_sum = 0
@@ -227,24 +237,24 @@ def run_protocol(
                     uncovered.add((b1, g))
         obs_g(g, b1, s2, t)
 
-        girls_sel.append(g1)
-        boys_sel.append(b1)
-        s_bg.append(s1)
-        s_gb.append(s2)
+        girls_sel[t - 1] = g1
+        boys_sel[t - 1] = b1
+        s_bg[t - 1] = s1
+        s_gb[t - 1] = s2
         auc_sum += matches
         if stride == 1 or t % stride == 0 or t == T:
             curve.append(matches)
 
     ledger.auc_sum = auc_sum
-    ledger.curve = np.asarray(curve, dtype=np.int64)
+    ledger.curve = np.frombuffer(curve, dtype=np.int64)
 
     trace = RoundTrace(
-        np.asarray(boy_arr, dtype=np.int32),
-        np.asarray(girls_sel, dtype=np.int32),
-        np.asarray(s_bg, dtype=np.int8),
-        np.asarray(girl_arr, dtype=np.int32),
-        np.asarray(boys_sel, dtype=np.int32),
-        np.asarray(s_gb, dtype=np.int8),
+        np.frombuffer(boy_arr, dtype=np.int32),
+        np.frombuffer(girls_sel, dtype=np.int32),
+        np.frombuffer(s_bg, dtype=np.int8),
+        np.frombuffer(girl_arr, dtype=np.int32),
+        np.frombuffer(boys_sel, dtype=np.int32),
+        np.frombuffer(s_gb, dtype=np.int8),
     )
     return RunResult(trace, ledger, policy.name, seed)
 

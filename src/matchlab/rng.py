@@ -15,6 +15,8 @@ Stream ids:
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -69,12 +71,15 @@ class SubstreamRng:
         return items[self.randint(len(items))]
 
 
-def draw_arrivals(n: int, T: int, seed: int) -> tuple[list[int], list[int]]:
+def draw_arrivals(n: int, T: int, seed: int) -> tuple[array, array]:
     """The full arrival schedule for a T-round run: uniform boys and girls.
 
-    Drawn from the arrivals substream only, before the run starts.
+    Drawn from the arrivals substream only, before the run starts.  Each
+    side is an ``array('i')`` of T int32 values, 4 bytes a round; indexing
+    or iterating it yields Python ints.
     """
     gen = philox(seed, STREAM_ARRIVALS)
-    boys = gen.integers(0, n, size=T).tolist()
-    girls = gen.integers(0, n, size=T).tolist()
+    boys, girls = array("i"), array("i")
+    for side in (boys, girls):
+        side.frombytes(gen.integers(0, n, size=T).astype(np.int32).view(np.uint8))
     return boys, girls

@@ -208,6 +208,71 @@ def test_internal_check_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     assert "internal check failed" in capsys.readouterr().err
 
 
+def test_dominance_violation_in_run_exits_3(tmp_path, monkeypatch, capsys):
+    # the real check inside cmd_run, not a stand-in: with M*_T forced to 0
+    # the first run that uncovers a match must stop the command
+    import matchlab.cli as cli
+
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm,oomm", T=200, seeds=2, out=out)
+    monkeypatch.setattr(cli, "optimal_matches", lambda mg, counts: 0)
+    assert cli.main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "dominance violated: uromm seed 0" in err and err.count("\n") == 1
+    assert not (out / "curves.csv").exists()
+
+
+def test_run_releases_each_run_before_the_next(tmp_path, monkeypatch):
+    # cmd_run reduces a run as soon as it ends: no trace column or ledger of
+    # an earlier run may still be alive when the next run starts
+    import dataclasses
+    import weakref
+
+    import matchlab.cli as cli
+
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm,oomm", T=200, seeds=3,
+                       out=out, save_traces=1)
+    refs = []
+
+    def tracking_run_protocol(*args, **kw):
+        alive = [r for r in refs if r() is not None]
+        assert not alive, f"{len(alive)} objects of an earlier run are alive"
+        run = run_protocol(*args, **kw)
+        refs.extend(weakref.ref(getattr(run.trace, f.name)) for f in dataclasses.fields(run.trace))
+        refs.append(weakref.ref(run.ledger))
+        return run
+
+    monkeypatch.setattr(cli, "run_protocol", tracking_run_protocol)
+    assert cli.main(["run", str(cfg)]) == 0
+    assert len(refs) == 2 * 3 * 7
+    assert len(list((out / "traces").iterdir())) == 6
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["smile.S=0", "smile.gamma=-1", "smile.gamma=0", "smile.gamma=nan", "smile.gamma=inf",
+     "smile.tolerance=5", "smile.tolerance=1", "ismile.S=-2", "ismile.tolerance=-1"],
+)
+def test_out_of_range_policy_parameter_exits_2(tmp_path, capsys, line):
+    # these used to run and exit 0 without a word; the override is checked
+    # even when its policy is not in the run
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    key, value = line.split("=")
+    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm", T=10, seeds=1,
+                       out=tmp_path / "o", **{key: value})
+    assert run_cli("run", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+    assert key.split(".")[1] in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_parse_config_validation(tmp_path):
     cfg = tmp_path / "c"
     cfg.write_text("instance=x\npolicies=oomm\nT=10\nseeds=2\nsmile.bogus=3\n")

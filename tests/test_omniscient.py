@@ -12,6 +12,7 @@ from matchlab import (
     run_protocol,
     tiny_demo_instance,
 )
+from matchlab import omniscient
 from matchlab.omniscient import arrival_counts, build_flow_network, max_flow
 from matchlab.rng import philox
 
@@ -41,18 +42,21 @@ def test_zero_counts_zero_flow():
     assert optimal_matches(mg, counts_all(4, 0)) == 0
 
 
-def test_arrival_counts_recount():
+def test_arrival_counts_recount(monkeypatch):
     prefs = tiny_demo_instance()
     r = run_protocol(prefs, make_policy("uromm"), 100, seed=3)
-    counts = arrival_counts(r.trace)
     boys = [0, 0, 0, 0]
     girls = [0, 0, 0, 0]
     for rec in r.trace:
         boys[rec.boy_arrival.index] += 1
         girls[rec.girl_arrival.index] += 1
-    assert list(counts.boy_counts) == boys
-    assert list(counts.girl_counts) == girls
-    assert counts.T == 100
+    # one count block, and blocks that split the trace unevenly
+    for block in (omniscient.COUNT_BLOCK, 7, 1):
+        monkeypatch.setattr(omniscient, "COUNT_BLOCK", block)
+        counts = arrival_counts(r.trace)
+        assert list(counts.boy_counts) == boys
+        assert list(counts.girl_counts) == girls
+        assert counts.T == 100
 
 
 def test_counts_validation():

@@ -139,6 +139,16 @@ def test_determinism_bit_identical(demo_prefs):
     assert not np.array_equal(a.trace.girls_selected, c.trace.girls_selected)
 
 
+def test_trace_columns_keep_their_dtypes_and_length(demo_prefs):
+    T = 57
+    r = run_protocol(demo_prefs, make_policy("oomm"), T, seed=3)
+    for field in ("boy_arrivals", "girls_selected", "girl_arrivals", "boys_selected"):
+        assert getattr(r.trace, field).dtype == np.int32 and getattr(r.trace, field).shape == (T,)
+    for field in ("signs_bg", "signs_gb"):
+        assert getattr(r.trace, field).dtype == np.int8 and getattr(r.trace, field).shape == (T,)
+    assert r.ledger.curve.dtype == np.int64 and r.ledger.curve.shape == (T,)
+
+
 def test_arrivals_shared_across_policies(demo_prefs):
     a = run_protocol(demo_prefs, make_policy("uromm"), 40, seed=6)
     b = run_protocol(demo_prefs, make_policy("smile", S=2), 40, seed=6)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from matchlab.rng import STREAM_POLICY, SubstreamRng, draw_arrivals, philox
+from matchlab.rng import STREAM_ARRIVALS, STREAM_POLICY, SubstreamRng, draw_arrivals, philox
 
 
 def test_substream_determinism():
@@ -16,6 +16,15 @@ def test_streams_are_independent():
         rng.randint(20)
     arr2 = draw_arrivals(20, 50, seed=7)
     assert arr1 == arr2
+
+
+def test_draw_arrivals_are_int32_arrays_of_the_arrivals_substream():
+    n, T, seed = 37, 1000, 11
+    boys, girls = draw_arrivals(n, T, seed)
+    assert boys.typecode == girls.typecode == "i"
+    gen = philox(seed, STREAM_ARRIVALS)
+    assert boys.tolist() == gen.integers(0, n, size=T).tolist()
+    assert girls.tolist() == gen.integers(0, n, size=T).tolist()
 
 
 def test_randint_range_and_uniformity():

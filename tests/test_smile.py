@@ -13,6 +13,7 @@ from matchlab import (
     make_policy,
     run_protocol,
 )
+from matchlab.errors import InputError
 from matchlab.policies.smile import (
     PHASE_CLUSTER,
     PHASE_MATCH,
@@ -90,6 +91,29 @@ def test_phase0_constant_factor_monte_carlo():
     assert len(hats) >= 95  # phase 0 finishes well before T on this instance
     med = sorted(hats)[len(hats) // 2]
     assert m / 4 <= med <= 4 * m
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("smile", {"S": 0}), ("smile", {"gamma": -1.0}), ("smile", {"gamma": float("nan")}),
+     ("smile", {"tolerance": 1.0}), ("ismile", {"S": -1}), ("ismile", {"tolerance": -0.5})],
+)
+def test_out_of_range_parameters_rejected(name, params):
+    with pytest.raises(InputError, match=f"{name}: {next(iter(params))} must be"):
+        make_policy(name, **params)
+
+
+@pytest.mark.parametrize("name", ["smile", "ismile"])
+def test_clamped_forced_s_reported_next_to_used_s(name):
+    prefs = gen_adversarial_random(50, 100, 0)  # s_bounds(50) = (4, 12)
+    clamped = make_policy(name, S=100)
+    run_protocol(prefs, clamped, 10, seed=0)
+    d = clamped.diagnostics()
+    assert (d["S"], d["S_requested"]) == (12, 100)
+    assert list(d).index("S_requested") == list(d).index("S") + 1
+    inside = make_policy(name, S=5)
+    run_protocol(prefs, inside, 10, seed=0)
+    assert inside.diagnostics()["S"] == 5 and "S_requested" not in inside.diagnostics()
 
 
 def test_forced_s_skips_phase0():
