@@ -196,9 +196,9 @@ def run_protocol(
     auc_sum = 0
     stride = curve_stride
 
-    for t in range(1, T + 1):
+    for i, b, g in zip(range(T), boy_arr, girl_arr):
+        t = i + 1
         # -- boy half: (1_B) arrival, (2_B) selection, (3_B) reveal
-        b = boy_arr[t - 1]
         g1 = sel_b(b, t)
         if not 0 <= g1 < n:
             raise ProtocolError(
@@ -218,7 +218,6 @@ def run_protocol(
         obs_b(b, g1, s1, t)
 
         # -- girl half: (1_G), (2_G), (3_G)
-        g = girl_arr[t - 1]
         b1 = sel_g(g, t)
         if not 0 <= b1 < n:
             raise ProtocolError(
@@ -237,10 +236,10 @@ def run_protocol(
                     uncovered.add((b1, g))
         obs_g(g, b1, s2, t)
 
-        girls_sel[t - 1] = g1
-        boys_sel[t - 1] = b1
-        s_bg[t - 1] = s1
-        s_gb[t - 1] = s2
+        girls_sel[i] = g1
+        boys_sel[i] = b1
+        s_bg[i] = s1
+        s_gb[i] = s2
         auc_sum += matches
         if stride == 1 or t % stride == 0 or t == T:
             curve.append(matches)
