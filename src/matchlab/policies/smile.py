@@ -46,8 +46,8 @@ def s_bounds(n: int) -> tuple[int, int]:
 def check_params(name: str, S: int | None, tolerance: float | None) -> None:
     """Reject a forced feedback budget below 1 or a tolerance outside [0, 1).
 
-    A forced S inside the legal range is still clamped into ``s_bounds(n)``
-    once n is known; ``diagnostics()`` then shows the requested S.
+    A forced S >= 1 is still clamped into ``s_bounds(n)`` once n is known;
+    ``diagnostics()`` then reports the requested value as ``S_requested``.
     """
     if S is not None and S < 1:
         raise InputError(f"{name}: S must be >= 1, got {S}")
