@@ -1,13 +1,11 @@
-"""Clusterability analytics: Hamming coverings, sampled-agreement trials,
-and cross-run aggregation.
+"""Clusterability analytics: Hamming coverings and sampled-agreement trials.
 
 Coverings are over the COLUMNS of a boolean matrix (the feedback a user
 receives).  The covering sizes reported here are upper bounds on the true
-covering number: a heuristic cover is still a cover.  By default the
-first-fit pass is refined with majority-vote centers and a set-cover
-selection, which recovers planted cluster counts through flip noise that
-first-fit alone badly over-counts; ``refine=False`` gives the plain
-first-fit behavior.
+covering number: a heuristic cover is still a cover.  A first-fit pass is
+refined with majority-vote centers and a set-cover selection, which
+recovers planted cluster counts through flip noise that first-fit alone
+badly over-counts.
 
 The covering works on whole boolean arrays: the columns, the first-fit
 neighbourhoods, the refined balls and the centers.  Hamming distances come
@@ -23,7 +21,7 @@ the lowest center index, as in a plain scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,23 +30,14 @@ from .errors import InputError, InternalCheckError
 from .rng import STREAM_ANALYSIS, philox
 
 
-def hamming_distance(col_a, col_b) -> int:
-    """Number of differing positions between two equal-length binary vectors."""
-    a = np.asarray(col_a, dtype=bool)
-    b = np.asarray(col_b, dtype=bool)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InputError("hamming_distance needs two equal-length vectors")
-    return int(np.count_nonzero(a != b))
-
-
 @dataclass
 class CoveringResult:
     """A radius-rho covering of a matrix's columns.
 
-    ``centers`` are ball centers as row-bitsets; with refinement they are
-    majority votes of their group and need not be matrix columns.  Every
-    column sits within ``radius`` of its assigned center, so ``size`` is an
-    upper bound on the covering number.
+    ``centers`` are ball centers as row-bitsets: majority votes of their
+    group, or a straggler's own column, so they need not be matrix
+    columns.  Every column sits within ``radius`` of its assigned center,
+    so ``size`` is an upper bound on the covering number.
     """
 
     radius: int
@@ -142,17 +131,15 @@ def _set_cover(ball: np.ndarray) -> tuple[list[int], np.ndarray]:
     return chosen, np.flatnonzero(uncovered)
 
 
-def greedy_covering(
-    matrix, radius: int, *, refine: bool = True, shuffle_seed: int | None = None
-) -> CoveringResult:
+def greedy_covering(matrix, radius: int, *, shuffle_seed: int | None = None) -> CoveringResult:
     """Cover the columns of a 0/1 matrix with Hamming balls of the radius.
 
     First-fit pass: the first uncovered column becomes a center and claims
-    everything within the radius.  With ``refine`` (default), group centers
-    are replaced by coordinate-wise majority votes, columns re-assigned to
-    the nearest center for a couple of rounds, and a greedy set cover picks
-    the minimal subset of those balls; stragglers keep their own column as
-    a center so the result is always a valid covering.  ``shuffle_seed``
+    everything within the radius.  Then group centers are replaced by
+    coordinate-wise majority votes, columns re-assigned to the nearest
+    center for a couple of rounds, and a greedy set cover picks the minimal
+    subset of those balls; stragglers keep their own column as a center so
+    the result is always a valid covering.  ``shuffle_seed``
     randomizes the first-fit column order (planted-pattern comparisons use
     this to avoid generator-order artifacts).
     """
@@ -171,21 +158,17 @@ def greedy_covering(
     near = _within(cols, cols, reach)
     unassigned = np.ones(nc, dtype=bool)
     labels = np.empty(nc, dtype=np.intp)
-    seeds: list[int] = []
+    groups = 0
     for c in order:
         if unassigned[c]:
             members = near[c] & unassigned
-            labels[members] = len(seeds)
+            labels[members] = groups
             unassigned ^= members
-            seeds.append(c)
+            groups += 1
     del near
 
-    if not refine:
-        centers = rows_to_masks(cols[seeds])
-        return CoveringResult(radius, centers, labels.tolist(), len(seeds), n_rows)
-
     # a couple of Lloyd rounds with majority-vote centers
-    centers = _majority(cols, labels, len(seeds))
+    centers = _majority(cols, labels, groups)
     for _ in range(2):
         best, _ = _nearest(cols, centers)
         keep, labels = np.unique(best, return_inverse=True)
@@ -303,49 +286,3 @@ def sampled_agreement_trial(matrix, target: int, beta: float, k: int, rng) -> Sa
         r, c, target, tuple(int(i) for i in rows), beta,
         tuple(agreeing.tolist()), tuple(dists.tolist()), bound,
     )
-
-
-@dataclass
-class PolicySummary:
-    mean_curve: np.ndarray
-    std_curve: np.ndarray
-    aucs: list[float]
-    finals: list[int]
-
-    @property
-    def mean_auc(self) -> float:
-        return float(np.mean(self.aucs))
-
-
-@dataclass
-class RunSummary:
-    T: int
-    policies: dict[str, PolicySummary] = field(default_factory=dict)
-
-
-def aggregate_runs(results) -> RunSummary:
-    """Per-t mean/std of the match curves plus AUC and final-match stats.
-
-    All runs must share T (and the same curve stride).
-    """
-    results = list(results)
-    if not results:
-        raise InputError("no runs to aggregate")
-    T = results[0].T
-    npoints = len(results[0].ledger.curve)
-    for r in results:
-        if r.T != T or len(r.ledger.curve) != npoints:
-            raise InputError("all runs must share T and curve stride")
-    summary = RunSummary(T)
-    by_policy: dict[str, list] = {}
-    for r in results:
-        by_policy.setdefault(r.policy_name, []).append(r)
-    for name, runs in by_policy.items():
-        curves = np.stack([r.ledger.curve for r in runs])
-        summary.policies[name] = PolicySummary(
-            mean_curve=curves.mean(axis=0),
-            std_curve=curves.std(axis=0),
-            aucs=[r.ledger.auc_sum / T for r in runs],
-            finals=[r.ledger.matches for r in runs],
-        )
-    return summary

@@ -11,7 +11,6 @@ parallel runs.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,17 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ParseError
-
-
-class Side(enum.Enum):
-    BOY = "boy"
-    GIRL = "girl"
-
-
-@dataclass(frozen=True)
-class UserRef:
-    side: Side
-    index: int
 
 
 def _check_rows(rows, n, what):
@@ -63,12 +51,6 @@ class PreferenceMatrices:
     def sign_gb(self, g: int, b: int) -> int:
         return 1 if (self.girls_like[g] >> b) & 1 else -1
 
-    def boy_likes(self, b: int, g: int) -> bool:
-        return bool((self.boys_like[b] >> g) & 1)
-
-    def girl_likes(self, g: int, b: int) -> bool:
-        return bool((self.girls_like[g] >> b) & 1)
-
     # -- conversions ---------------------------------------------------
     @staticmethod
     def from_bool_arrays(boys: np.ndarray, girls: np.ndarray) -> "PreferenceMatrices":
@@ -81,14 +63,6 @@ class PreferenceMatrices:
 
     def to_bool_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return (masks_to_rows(self.boys_like, self.n), masks_to_rows(self.girls_like, self.n))
-
-    def boys_like_columns(self) -> list[int]:
-        """Column bitsets of the boy matrix: feedback each girl receives."""
-        return _transpose_masks(self.boys_like, self.n)
-
-    def girls_like_columns(self) -> list[int]:
-        """Column bitsets of the girl matrix: feedback each boy receives."""
-        return _transpose_masks(self.girls_like, self.n)
 
 
 def rows_to_masks(matrix) -> list[int]:
@@ -120,30 +94,13 @@ class MatchingGraph:
     def girl_rows(self) -> list[int]:
         return _transpose_masks(self.boy_rows, self.n)
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for b, r in enumerate(self.boy_rows):
-            while r:
-                low = r & -r
-                out.append((b, low.bit_length() - 1))
-                r ^= low
-        return out
-
 
 def build_matching_graph(prefs: PreferenceMatrices) -> MatchingGraph:
     """Edges are exactly the pairs liking each other in both directions."""
     n = prefs.n
-    gcols = prefs.girls_like_columns()  # gcols[b]: girls that like boy b
+    gcols = _transpose_masks(prefs.girls_like, n)  # gcols[b]: girls that like boy b
     rows = tuple(prefs.boys_like[b] & gcols[b] for b in range(n))
     return MatchingGraph(n, rows, sum(r.bit_count() for r in rows))
-
-
-def degree(mg: MatchingGraph, u: UserRef) -> int:
-    if not 0 <= u.index < mg.n:
-        raise InputError(f"user index {u.index} out of range for n={mg.n}")
-    if u.side is Side.BOY:
-        return mg.boy_rows[u.index].bit_count()
-    return mg.girl_rows()[u.index].bit_count()
 
 
 def all_degrees(mg: MatchingGraph) -> tuple[list[int], list[int]]:

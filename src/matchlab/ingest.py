@@ -138,9 +138,6 @@ class DensifyReport:
     phantoms: int = 0
     n: int = 0
 
-    def threshold(self) -> float:
-        return self.coefficient * min(self.final_boys, self.final_girls) ** 1.5
-
 
 def densify(bin_likes: BinaryLikes, c: float, count_mode: str = "both"):
     """Remove minimum-rating-count users until the like density target holds.

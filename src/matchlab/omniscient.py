@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatchingGraph, delta_overload
+from .core import MatchingGraph
 from .errors import InputError
 from .protocol import RoundTrace
 
@@ -184,16 +184,3 @@ def optimal_matches(mg: MatchingGraph, counts: ArrivalCounts) -> int:
     """M*_T: the most matches any strategy could realize on this trace."""
     net = build_flow_network(mg, counts)
     return max_flow(net)
-
-
-def expected_optimal_estimate(mg: MatchingGraph, T: int) -> float:
-    """Order-of-magnitude diagnostic M / (1 + Delta(M, T)).
-
-    The asymptotic shape of E[M*_T], not a point estimate: the hidden
-    constants are large outside the extreme regimes (Delta ~ 0 or huge),
-    so treat this as a scale indicator only.
-    """
-    if mg.match_count == 0:
-        return 0.0
-    return float(mg.match_count / (1 + delta_overload(mg, T)))
-

@@ -22,26 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PreferenceMatrices, Side, UserRef
+from .core import PreferenceMatrices
 from .errors import InputError, ProtocolError
 from .policies.base import MatchmakerPolicy
 from .rng import STREAM_POLICY, SubstreamRng, draw_arrivals
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    t: int
-    boy_arrival: UserRef
-    girl_selected: UserRef
-    sign_bg: int
-    girl_arrival: UserRef
-    boy_selected: UserRef
-    sign_gb: int
-
-
-@dataclass(frozen=True)
 class RoundTrace:
-    """Array-backed sequence of the T round records.
+    """The six per-round columns of a T-round run.
 
     The engine's columns are int32 (user indices) and int8 (signs) numpy
     views of the ``array`` buffers it recorded into, 18 bytes a round.
@@ -57,23 +46,6 @@ class RoundTrace:
     def __len__(self) -> int:
         return len(self.boy_arrivals)
 
-    def record(self, t: int) -> RoundRecord:
-        """Round record for 1-based round index t."""
-        i = t - 1
-        return RoundRecord(
-            t,
-            UserRef(Side.BOY, int(self.boy_arrivals[i])),
-            UserRef(Side.GIRL, int(self.girls_selected[i])),
-            int(self.signs_bg[i]),
-            UserRef(Side.GIRL, int(self.girl_arrivals[i])),
-            UserRef(Side.BOY, int(self.boys_selected[i])),
-            int(self.signs_gb[i]),
-        )
-
-    def __iter__(self):
-        for t in range(1, len(self) + 1):
-            yield self.record(t)
-
 
 @dataclass
 class FeedbackLedger:
@@ -87,7 +59,6 @@ class FeedbackLedger:
     """
 
     n: int
-    curve_stride: int = 1
     obs_bg: list[int] = field(default_factory=list)  # bit g of obs_bg[b]
     obs_gb: list[int] = field(default_factory=list)  # bit b of obs_gb[g]
     pos_bg: list[int] = field(default_factory=list)
@@ -107,24 +78,6 @@ class FeedbackLedger:
     @property
     def matches(self) -> int:
         return len(self.uncovered)
-
-    def observed_edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.obs_bg) + sum(
-            r.bit_count() for r in self.obs_gb
-        )
-
-    def reciprocal_pair_set(self) -> set[tuple[int, int]]:
-        """All (b, g) pairs with both directions observed."""
-        out = set()
-        for b, row in enumerate(self.obs_bg):
-            m = row
-            while m:
-                low = m & -m
-                g = low.bit_length() - 1
-                if (self.obs_gb[g] >> b) & 1:
-                    out.add((b, g))
-                m ^= low
-        return out
 
 
 @dataclass(frozen=True)
@@ -167,7 +120,7 @@ def run_protocol(
         raise InputError("curve_stride must be >= 1")
 
     boy_arr, girl_arr = draw_arrivals(n, T, seed)
-    ledger = FeedbackLedger(n, curve_stride)
+    ledger = FeedbackLedger(n)
     rng = SubstreamRng(seed, STREAM_POLICY)
     if isinstance(policy, MatchmakerPolicy):
         policy.start(n, T, rng, ledger)
@@ -256,30 +209,3 @@ def run_protocol(
         np.frombuffer(s_gb, dtype=np.int8),
     )
     return RunResult(trace, ledger, policy.name, seed)
-
-
-def matches_curve(run: RunResult) -> np.ndarray:
-    """The stored match curve M_1..M_T (decimated iff the run was)."""
-    return run.ledger.curve
-
-
-def area_under_curve(run: RunResult) -> float:
-    """Average number of uncovered matches over rounds: sum_t M_t / T."""
-    T = run.T
-    if T < 1:
-        raise InputError("run has no rounds")
-    return run.ledger.auc_sum / T
-
-
-def run_batch(
-    prefs: PreferenceMatrices,
-    policy_factory,
-    T: int,
-    seeds,
-    curve_stride: int = 1,
-) -> list[RunResult]:
-    """Independent seeded runs of one policy, one after another, in seed order.
-
-    ``policy_factory`` builds a fresh policy per run.
-    """
-    return [run_protocol(prefs, policy_factory(), T, s, curve_stride) for s in seeds]

@@ -67,9 +67,6 @@ class SubstreamRng:
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, items):
-        return items[self.randint(len(items))]
-
 
 def draw_arrivals(n: int, T: int, seed: int) -> tuple[array, array]:
     """The full arrival schedule for a T-round run: uniform boys and girls.

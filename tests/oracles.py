@@ -15,12 +15,12 @@ def and_matrix_edges(prefs):
         (b, g)
         for b in range(n)
         for g in range(n)
-        if prefs.boy_likes(b, g) and prefs.girl_likes(g, b)
+        if prefs.sign_bg(b, g) > 0 and prefs.sign_gb(g, b) > 0
     }
 
 
 def replay_ledger(trace):
-    """Re-derive the ledger from the trace records alone.
+    """Re-derive the ledger from the trace columns alone.
 
     Returns (observed_bg, observed_gb, reciprocal_pairs, uncovered dict
     pair -> crediting round, curve list).
@@ -31,25 +31,23 @@ def replay_ledger(trace):
     pairs = 0
     uncovered = {}
     curve = []
-    for rec in trace:
-        b = rec.boy_arrival.index
-        g1 = rec.girl_selected.index
+    columns = (trace.boy_arrivals, trace.girls_selected, trace.signs_bg,
+               trace.girl_arrivals, trace.boys_selected, trace.signs_gb)
+    for t, b, g1, s1, g, b1, s2 in zip(range(1, len(trace) + 1), *(c.tolist() for c in columns)):
         if (b, g1) not in observed_bg:
             observed_bg.add((b, g1))
-            sign_of[("bg", b, g1)] = rec.sign_bg
+            sign_of[("bg", b, g1)] = s1
             if (g1, b) in observed_gb:
                 pairs += 1
-                if rec.sign_bg > 0 and sign_of[("gb", g1, b)] > 0:
-                    uncovered[(b, g1)] = rec.t
-        g = rec.girl_arrival.index
-        b1 = rec.boy_selected.index
+                if s1 > 0 and sign_of[("gb", g1, b)] > 0:
+                    uncovered[(b, g1)] = t
         if (g, b1) not in observed_gb:
             observed_gb.add((g, b1))
-            sign_of[("gb", g, b1)] = rec.sign_gb
+            sign_of[("gb", g, b1)] = s2
             if (b1, g) in observed_bg:
                 pairs += 1
-                if rec.sign_gb > 0 and sign_of[("bg", b1, g)] > 0:
-                    uncovered[(b1, g)] = rec.t
+                if s2 > 0 and sign_of[("bg", b1, g)] > 0:
+                    uncovered[(b1, g)] = t
         curve.append(len(uncovered))
     return observed_bg, observed_gb, pairs, uncovered, curve
 
@@ -79,11 +77,6 @@ def brute_force_bmatching(edges, boy_caps, girl_caps):
 
     rec(0, 0)
     return best
-
-
-def hamming_bitloop(a, b):
-    assert len(a) == len(b)
-    return sum(1 for x, y in zip(a, b) if bool(x) != bool(y))
 
 
 def exact_column_cover(column_masks, radius):
@@ -180,9 +173,6 @@ class ScriptedRng:
     def shuffle(self, items):
         pass
 
-    def choice(self, items):
-        return items[self.randint(len(items))]
-
 
 def cluster_bound_loop(prefs, side, s_prime):
     """min(min_rho(C_{rho/2} + 3 rho S'), n), one fresh covering per radius."""
@@ -236,7 +226,7 @@ def _loop_majority_center(cols, group, n_rows):
     return out
 
 
-def greedy_covering_loop(matrix, radius, *, refine=True, shuffle_seed=None):
+def greedy_covering_loop(matrix, radius, *, shuffle_seed=None):
     """``analysis.greedy_covering`` as one Python loop over int column bitsets,
     one ``bit_count()`` per (center, column) pair: first fit, two Lloyd
     rounds with majority centers, greedy set cover, nearest-center
@@ -258,15 +248,6 @@ def greedy_covering_loop(matrix, radius, *, refine=True, shuffle_seed=None):
         philox(shuffle_seed, STREAM_ANALYSIS).shuffle(order)
 
     groups = _loop_first_fit(cols, radius, order)
-
-    if not refine:
-        centers = [cols[g[0]] for g in groups]
-        assign = [0] * nc
-        for gi, g in enumerate(groups):
-            for c in g:
-                assign[c] = gi
-        return CoveringResult(radius, centers, assign, len(centers), n_rows)
-
     centers = [_loop_majority_center(cols, g, n_rows) for g in groups]
     for _ in range(2):
         groups = [[] for _ in centers]

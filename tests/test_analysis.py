@@ -10,11 +10,12 @@ from matchlab import (
     ClusteredSpec,
     InputError,
     gen_clustered,
+    PreferenceMatrices,
     greedy_covering,
-    hamming_distance,
     sampled_agreement_trial,
     make_policy,
     run_protocol,
+    write_instance,
 )
 import matchlab.analysis as analysis
 from matchlab.analysis import (
@@ -22,8 +23,8 @@ from matchlab.analysis import (
     cluster_bound,
     girl_side_covering,
     table_radii,
-    aggregate_runs,
 )
+from matchlab.cli import main as cli_main
 from matchlab.core import rows_to_masks
 from matchlab.rng import philox
 
@@ -31,28 +32,10 @@ from oracles import (
     cluster_bound_loop,
     exact_column_cover,
     greedy_covering_loop,
-    hamming_bitloop,
     packing_lower_bound,
     sampled_agreement_trial_loop,
     two_pass_stats,
 )
-
-
-# ---------------------------------------------------------------- hamming
-
-
-def test_hamming_examples():
-    assert hamming_distance([0, 1, 1, 0], [0, 1, 1, 0]) == 0
-    assert hamming_distance([0] * 8, [1] * 8) == 8
-    with pytest.raises(InputError):
-        hamming_distance([0, 1], [0, 1, 1])
-
-
-@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=64))
-def test_hamming_matches_bitloop(pairs):
-    a = [x for x, _ in pairs]
-    b = [y for _, y in pairs]
-    assert hamming_distance(a, b) == hamming_bitloop(a, b)
 
 
 # ---------------------------------------------------------------- covering
@@ -105,23 +88,14 @@ def test_covering_recovers_planted_pattern_desk_scale():
     assert 9 <= cg <= 14
 
 
-def test_refined_no_worse_than_first_fit():
-    gen = philox(3, 13)
-    m = gen.random((60, 40)) < 0.3
-    for radius in (2, 6, 12):
-        refined = greedy_covering(m, radius).size
-        plain = greedy_covering(m, radius, refine=False).size
-        assert refined <= plain
-
-
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("radius", [6, 10])
 def test_first_fit_with_shuffle_is_valid(seed, radius):
-    # each first-fit center is its group's seed column, not the group's
-    # lowest column index, which may lie farther than the radius from it
+    # a shuffled first-fit order groups columns around seeds that are not
+    # their group's lowest column index; the covering stays valid
     boys, _ = gen_clustered(ClusteredSpec(n=60, c_b=5, c_g=5, seed=seed)).to_bool_arrays()
     cols = rows_to_masks(boys.T)
-    assert greedy_covering(boys, radius, refine=False, shuffle_seed=1).validate(cols)
+    assert greedy_covering(boys, radius, shuffle_seed=1).validate(cols)
 
 
 @settings(max_examples=25, deadline=None)
@@ -158,7 +132,6 @@ def small_matrices(draw):
 @given(
     small_matrices(),
     st.integers(0, 14),
-    st.booleans(),
     st.one_of(st.none(), st.integers(0, 2**32)),
     st.sampled_from([1, 2, 5, analysis.TILE]),
 )
@@ -167,13 +140,13 @@ def small_matrices(draw):
         [[1, 0, 1, 1, 1, 1, 0, 0, 0], [1, 0, 1, 1, 0, 1, 1, 0, 0], [1, 1, 0, 0, 1, 0, 1, 0, 0]],
         dtype=bool,
     ),
-    1, True, None, 128,
+    1, None, 128,
 )
-def test_covering_matches_loop_oracle(m, radius, refine, shuffle_seed, tile):
+def test_covering_matches_loop_oracle(m, radius, shuffle_seed, tile):
     # small tiles make tiny matrices span several tiles
     with mock.patch.object(analysis, "TILE", tile):
-        got = greedy_covering(m, radius, refine=refine, shuffle_seed=shuffle_seed)
-    want = greedy_covering_loop(m, radius, refine=refine, shuffle_seed=shuffle_seed)
+        got = greedy_covering(m, radius, shuffle_seed=shuffle_seed)
+    want = greedy_covering_loop(m, radius, shuffle_seed=shuffle_seed)
     assert _same_covering(got, want)
     assert got.validate(rows_to_masks(m.T))
 
@@ -299,41 +272,52 @@ def test_trial_violation_frequency_bound_small():
     assert violations / trials <= bound
 
 
-# ---------------------------------------------------------------- aggregation
+# ---------------------------------------------------------------- run tables
 
 
-def test_aggregate_single_run(demo_prefs):
-    r = run_protocol(demo_prefs, make_policy("uromm"), 25, seed=0)
-    s = aggregate_runs([r])
-    ps = s.policies["uromm"]
-    assert np.array_equal(ps.mean_curve, r.ledger.curve)
-    assert np.all(ps.std_curve == 0)
-    assert ps.finals == [r.ledger.matches]
+def run_tables(tmp_path, prefs, T, seeds):
+    """``matchlab run`` of uromm over the seeds: the curves.csv rows after
+    the header, the auc.csv rows by metric, and each run's curve, AUC and
+    final match count."""
+    write_instance(prefs, tmp_path / "inst.txt")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"instance={tmp_path / 'inst.txt'}\npolicies=uromm\nT={T}\n"
+                   f"seeds={seeds}\nout={tmp_path / 'out'}\n")
+    assert cli_main(["run", str(cfg)]) == 0
+    curves = (tmp_path / "out" / "curves.csv").read_text().splitlines()
+    assert curves[0] == "t,uromm"
+    auc = dict(l.split(",") for l in (tmp_path / "out" / "auc.csv").read_text().splitlines())
+    assert auc.pop("metric") == "uromm"
+    led = [run_protocol(prefs, make_policy("uromm"), T, seed=s).ledger for s in range(seeds)]
+    return curves[1:], auc, [(l.curve.tolist(), l.auc_sum / T, l.matches) for l in led]
 
 
-def test_aggregate_zero_curves():
-    from matchlab import PreferenceMatrices
+def assert_tables_are_two_pass_stats(curve_rows, auc, runs):
+    means, _ = two_pass_stats([curve for curve, _, _ in runs])
+    assert curve_rows == [f"{t},{m:.6f}" for t, m in enumerate(means, start=1)]
+    (auc_mean, final_mean), (auc_std, final_std) = two_pass_stats([[a, f] for _, a, f in runs])
+    assert auc == {"auc_mean": f"{auc_mean:.6f}", "auc_std": f"{auc_std:.6f}",
+                   "final_mean": f"{final_mean:.6f}", "final_std": f"{final_std:.6f}"}
 
+
+def test_aggregate_single_run(tmp_path, demo_prefs):
+    curve_rows, auc, runs = run_tables(tmp_path, demo_prefs, 25, 1)
+    assert_tables_are_two_pass_stats(curve_rows, auc, runs)
+    [(curve, _, final)] = runs
+    assert curve_rows == [f"{t},{m}.000000" for t, m in enumerate(curve, start=1)]
+    assert auc["auc_std"] == auc["final_std"] == "0.000000"
+    assert auc["final_mean"] == f"{final}.000000"
+
+
+def test_aggregate_zero_curves(tmp_path):
     prefs = PreferenceMatrices(3, (0,) * 3, (0,) * 3)
-    runs = [run_protocol(prefs, make_policy("uromm"), 10, seed=s) for s in range(2)]
-    s = aggregate_runs(runs)
-    ps = s.policies["uromm"]
-    assert np.all(ps.mean_curve == 0) and np.all(ps.std_curve == 0)
-    assert ps.mean_auc == 0.0
+    curve_rows, auc, runs = run_tables(tmp_path, prefs, 10, 10)
+    assert_tables_are_two_pass_stats(curve_rows, auc, runs)
+    assert curve_rows == [f"{t},0.000000" for t in range(1, 11)]
+    assert set(auc.values()) == {"0.000000"}
 
 
-def test_aggregate_against_two_pass_oracle(demo_prefs):
-    runs = [run_protocol(demo_prefs, make_policy("uromm"), 40, seed=s) for s in range(10)]
-    s = aggregate_runs(runs)
-    ps = s.policies["uromm"]
-    means, stds = two_pass_stats([r.ledger.curve.tolist() for r in runs])
-    assert np.allclose(ps.mean_curve, means)
-    assert np.allclose(ps.std_curve, stds)
-    assert ps.mean_auc == pytest.approx(sum(r.ledger.auc_sum / 40 for r in runs) / 10)
-
-
-def test_aggregate_rejects_mixed_T(demo_prefs):
-    a = run_protocol(demo_prefs, make_policy("uromm"), 10, seed=0)
-    b = run_protocol(demo_prefs, make_policy("uromm"), 12, seed=0)
-    with pytest.raises(InputError):
-        aggregate_runs([a, b])
+def test_aggregate_against_two_pass_oracle(tmp_path, demo_prefs):
+    curve_rows, auc, runs = run_tables(tmp_path, demo_prefs, 40, 10)
+    assert_tables_are_two_pass_stats(curve_rows, auc, runs)
+    assert len({tuple(curve) for curve, _, _ in runs}) > 1  # the seeds differ

@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from matchlab import (
     InputError,
     PreferenceMatrices,
-    Side,
-    UserRef,
     build_matching_graph,
-    degree,
     delta_overload,
     read_instance,
     write_instance,
 )
-from matchlab.core import all_degrees
+from matchlab.core import _transpose_masks, all_degrees
 from matchlab.rng import philox
 
 from oracles import and_matrix_edges
@@ -30,39 +27,36 @@ def random_prefs(n, seed, p=0.5):
 def test_demo_instance_matches(demo_prefs):
     mg = build_matching_graph(demo_prefs)
     assert mg.match_count == 4
-    assert (0, 2) in set(mg.edges())  # boy 0 with girl 2
-    assert degree(mg, UserRef(Side.GIRL, 0)) == 3
-    assert degree(mg, UserRef(Side.BOY, 1)) == 1
+    assert (mg.boy_rows[0] >> 2) & 1  # boy 0 with girl 2
+    boy_deg, girl_deg = all_degrees(mg)
+    assert girl_deg[0] == 3
+    assert boy_deg[1] == 1
 
 
 def test_all_false_gives_empty_graph():
     prefs = PreferenceMatrices(5, (0,) * 5, (0,) * 5)
     mg = build_matching_graph(prefs)
     assert mg.match_count == 0
-    assert mg.edges() == []
-    assert degree(mg, UserRef(Side.BOY, 3)) == 0
+    assert mg.boy_rows == (0,) * 5
+    assert all_degrees(mg) == ([0] * 5, [0] * 5)
 
 
 def test_graph_equals_entrywise_and_oracle():
     prefs = random_prefs(8, seed=42)
     mg = build_matching_graph(prefs)
-    assert set(mg.edges()) == and_matrix_edges(prefs)
+    edges = {(b, g) for b in range(8) for g in range(8) if (mg.boy_rows[b] >> g) & 1}
+    assert edges == and_matrix_edges(prefs)
 
 
 def test_degree_equals_popcount_oracle():
     prefs = random_prefs(7, seed=3)
     mg = build_matching_graph(prefs)
     edges = and_matrix_edges(prefs)
+    boy_deg, girl_deg = all_degrees(mg)
     for b in range(7):
-        assert degree(mg, UserRef(Side.BOY, b)) == sum(1 for e in edges if e[0] == b)
+        assert boy_deg[b] == sum(1 for e in edges if e[0] == b)
     for g in range(7):
-        assert degree(mg, UserRef(Side.GIRL, g)) == sum(1 for e in edges if e[1] == g)
-
-
-def test_degree_rejects_out_of_range():
-    mg = build_matching_graph(random_prefs(4, seed=0))
-    with pytest.raises(InputError):
-        degree(mg, UserRef(Side.BOY, 4))
+        assert girl_deg[g] == sum(1 for e in edges if e[1] == g)
 
 
 def test_delta_overload_demo(demo_prefs):
@@ -147,7 +141,7 @@ def test_bitset_conversions_match_bit_loops(data):
     assert b.dtype == bool and b.shape == g.shape == (n, n)
     assert b.tolist() == [[bool((r >> j) & 1) for j in range(n)] for r in boys]
     assert g.tolist() == [[bool((r >> j) & 1) for j in range(n)] for r in girls]
-    assert prefs.boys_like_columns() == [
+    assert _transpose_masks(boys, n) == [
         sum(((boys[i] >> j) & 1) << i for i in range(n)) for j in range(n)
     ]
 

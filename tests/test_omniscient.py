@@ -5,7 +5,7 @@ from matchlab import (
     ArrivalCounts,
     InputError,
     build_matching_graph,
-    expected_optimal_estimate,
+    delta_overload,
     gen_random_bipartite,
     make_policy,
     optimal_matches,
@@ -24,12 +24,14 @@ def counts_all(n, k):
 
 
 def random_graph(n, p, seed):
+    """A random matching graph and its edge list."""
     g = philox(seed, 55)
     adj = g.random((n, n)) < p
     rows = tuple(sum(1 << j for j in range(n) if adj[i, j]) for i in range(n))
     from matchlab.core import MatchingGraph
 
-    return MatchingGraph(n, rows, sum(r.bit_count() for r in rows))
+    edges = [tuple(e) for e in np.argwhere(adj).tolist()]
+    return MatchingGraph(n, rows, sum(r.bit_count() for r in rows)), edges
 
 
 def test_demo_instance_full_capacity():
@@ -47,9 +49,9 @@ def test_arrival_counts_recount(monkeypatch):
     r = run_protocol(prefs, make_policy("uromm"), 100, seed=3)
     boys = [0, 0, 0, 0]
     girls = [0, 0, 0, 0]
-    for rec in r.trace:
-        boys[rec.boy_arrival.index] += 1
-        girls[rec.girl_arrival.index] += 1
+    for b, g in zip(r.trace.boy_arrivals.tolist(), r.trace.girl_arrivals.tolist()):
+        boys[b] += 1
+        girls[g] += 1
     # one count block, and blocks that split the trace unevenly
     for block in (omniscient.COUNT_BLOCK, 7, 1):
         monkeypatch.setattr(omniscient, "COUNT_BLOCK", block)
@@ -70,7 +72,7 @@ def test_flow_equals_brute_force_small():
     gen = philox(123, 77)
     for _ in range(300):
         n = int(gen.integers(2, 6))
-        mg = random_graph(n, 0.4, int(gen.integers(0, 1 << 30)))
+        mg, edges = random_graph(n, 0.4, int(gen.integers(0, 1 << 30)))
         tb = gen.integers(0, n + 2, size=n).tolist()
         tg = gen.integers(0, n + 2, size=n).tolist()
         total = sum(tb)
@@ -83,7 +85,7 @@ def test_flow_equals_brute_force_small():
                 tg[i] -= 1
         counts = ArrivalCounts(tuple(tb), tuple(tg))
         flow = optimal_matches(mg, counts)
-        assert flow == brute_force_bmatching(mg.edges(), tb, tg)
+        assert flow == brute_force_bmatching(edges, tb, tg)
 
 
 def test_monotone_in_capacity():
@@ -129,11 +131,13 @@ def test_dominance_over_policies():
 
 
 def test_estimate_trivial_regimes():
+    # T/n at the max degree: no overload, so the scale M / (1 + Delta) is M,
+    # which the flow reaches when every user arrives T/n times
     mg = build_matching_graph(tiny_demo_instance())
-    # T/n at the max degree: no overload, estimate equals M
-    assert expected_optimal_estimate(mg, 12) == 4.0
+    assert delta_overload(mg, 12) == 0
+    assert optimal_matches(mg, counts_all(4, 3)) == mg.match_count == 4
     empty, _ = gen_random_bipartite(5, 0.0, 0)
-    assert expected_optimal_estimate(empty, 3) == 0.0
+    assert optimal_matches(empty, counts_all(5, 3)) == 0
 
 
 def test_estimate_order_of_magnitude_monte_carlo():
@@ -141,7 +145,7 @@ def test_estimate_order_of_magnitude_monte_carlo():
     # regime the Monte-Carlo mean of the true optimum stays within 8x of it
     n, p, T = 50, 0.1, 500
     mg, _ = gen_random_bipartite(n, p, seed=42)
-    est = expected_optimal_estimate(mg, T)
+    est = mg.match_count / (1 + delta_overload(mg, T))
     vals = []
     for s in range(200):
         gen = philox(s, 91)

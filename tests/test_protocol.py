@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +5,13 @@ from hypothesis import strategies as st
 
 from matchlab import (
     POLICIES,
+    InputError,
     PreferenceMatrices,
     ProtocolError,
     arrival_counts,
-    area_under_curve,
     build_matching_graph,
     make_policy,
-    matches_curve,
     optimal_matches,
-    run_batch,
     run_protocol,
 )
 from matchlab.policies.base import MatchmakerPolicy
@@ -46,7 +42,7 @@ def test_all_dislike_curve_is_zero():
     prefs = all_dislike(3)
     for policy in ("uromm", "oomm"):
         r = run_protocol(prefs, make_policy(policy), 20, seed=3)
-        assert np.all(matches_curve(r) == 0)
+        assert np.all(r.ledger.curve == 0)
         assert r.ledger.matches == 0
 
 
@@ -56,14 +52,14 @@ def assert_ledger_is_replay(r, prefs):
     obs_bg, obs_gb, pairs, uncovered, curve = replay_ledger(r.trace)
     assert set(uncovered) == r.ledger.uncovered
     assert pairs == r.ledger.reciprocal_pairs
-    assert curve == matches_curve(r).tolist()
+    assert curve == r.ledger.curve.tolist()
     n = prefs.n
     for b in range(n):
         for g in range(n):
             assert ((r.ledger.obs_bg[b] >> g) & 1) == ((b, g) in obs_bg)
             assert ((r.ledger.obs_gb[g] >> b) & 1) == ((g, b) in obs_gb)
-            assert ((r.ledger.pos_bg[b] >> g) & 1) == ((b, g) in obs_bg and prefs.boy_likes(b, g))
-            assert ((r.ledger.pos_gb[g] >> b) & 1) == ((g, b) in obs_gb and prefs.girl_likes(g, b))
+            assert ((r.ledger.pos_bg[b] >> g) & 1) == ((b, g) in obs_bg and prefs.sign_bg(b, g) > 0)
+            assert ((r.ledger.pos_gb[g] >> b) & 1) == ((g, b) in obs_gb and prefs.sign_gb(g, b) > 0)
 
 
 @pytest.mark.parametrize("name", sorted(POLICIES))
@@ -96,12 +92,12 @@ def test_engine_invariants_on_tiny_instances(prefs, T, seed):
         r = run_protocol(prefs, make_policy(name), T, seed)
         assert_ledger_is_replay(r, prefs)
         assert r.ledger.matches <= optimal_matches(mg, arrival_counts(r.trace))
-        assert np.all(np.diff(matches_curve(r)) >= 0)
+        assert np.all(np.diff(r.ledger.curve) >= 0)
 
 
 def test_curve_monotone_and_final(demo_prefs):
     r = run_protocol(demo_prefs, make_policy("uromm"), 60, seed=11)
-    curve = matches_curve(r)
+    curve = r.ledger.curve
     assert np.all(np.diff(curve) >= 0)
     assert curve[-1] == len(r.ledger.uncovered)
     mg = build_matching_graph(demo_prefs)
@@ -111,22 +107,15 @@ def test_curve_monotone_and_final(demo_prefs):
 def test_match_credited_when_second_direction_observed(demo_prefs):
     r = run_protocol(demo_prefs, make_policy("oomm"), 40, seed=2)
     *_, uncovered, _ = replay_ledger(r.trace)
-    curve = matches_curve(r)
+    curve = r.ledger.curve
     for (b, g), t in uncovered.items():
         assert curve[t - 1] > (curve[t - 2] if t > 1 else 0) - 1  # appears by round t
         assert ((r.ledger.pos_bg[b] >> g) & 1) and ((r.ledger.pos_gb[g] >> b) & 1)
 
 
-def test_area_under_curve_values():
-    assert area_under_curve(SimpleNamespace(T=3, ledger=SimpleNamespace(auc_sum=15))) == 5.0
-    assert area_under_curve(SimpleNamespace(T=9, ledger=SimpleNamespace(auc_sum=0))) == 0.0
-    # curve (0, 1, 2, 3): sum 6 over T=4
-    assert area_under_curve(SimpleNamespace(T=4, ledger=SimpleNamespace(auc_sum=6))) == 1.5
-
-
 def test_auc_matches_curve_sum(demo_prefs):
     r = run_protocol(demo_prefs, make_policy("uromm"), 30, seed=4)
-    assert area_under_curve(r) == matches_curve(r).sum() / 30
+    assert r.ledger.auc_sum / r.T == r.ledger.curve.sum() / 30
 
 
 def test_determinism_bit_identical(demo_prefs):
@@ -134,7 +123,7 @@ def test_determinism_bit_identical(demo_prefs):
     b = run_protocol(demo_prefs, make_policy("oomm"), 50, seed=9)
     for field in ("boy_arrivals", "girls_selected", "signs_bg", "girl_arrivals", "boys_selected", "signs_gb"):
         assert np.array_equal(getattr(a.trace, field), getattr(b.trace, field))
-    assert np.array_equal(matches_curve(a), matches_curve(b))
+    assert np.array_equal(a.ledger.curve, b.ledger.curve)
     c = run_protocol(demo_prefs, make_policy("oomm"), 50, seed=10)
     assert not np.array_equal(a.trace.girls_selected, c.trace.girls_selected)
 
@@ -192,28 +181,22 @@ def test_repeat_selections_are_noops():
     prefs = all_like(3)
     r = run_protocol(prefs, _AlwaysZero(), 30, seed=0)
     # only edges toward index 0 exist, each observed once
-    assert r.ledger.observed_edge_count() <= 6
+    assert all(row in (0, 1) for row in r.ledger.obs_bg + r.ledger.obs_gb)
     assert r.ledger.matches <= 2  # (0,0) and the (b=0,g=0) pair counts once
-    curve = matches_curve(r)
+    curve = r.ledger.curve
     assert np.all(np.diff(curve) >= 0)
 
 
 def test_curve_stride_keeps_auc_exact(demo_prefs):
     full = run_protocol(demo_prefs, make_policy("uromm"), 50, seed=8)
     dec = run_protocol(demo_prefs, make_policy("uromm"), 50, seed=8, curve_stride=7)
-    assert area_under_curve(full) == area_under_curve(dec)
+    assert full.ledger.auc_sum / full.T == dec.ledger.auc_sum / dec.T
     assert dec.ledger.curve[-1] == full.ledger.curve[-1]
     assert len(dec.ledger.curve) < len(full.ledger.curve)
 
 
-def test_run_batch_order_and_determinism(demo_prefs):
-    runs = run_batch(demo_prefs, lambda: make_policy("uromm"), 20, seeds=[3, 1, 2])
-    assert [r.seed for r in runs] == [3, 1, 2]
-    again = run_batch(demo_prefs, lambda: make_policy("uromm"), 20, seeds=[3, 1, 2])
-    for a, b in zip(runs, again):
-        assert np.array_equal(matches_curve(a), matches_curve(b))
-
-
 def test_T_validation(demo_prefs):
-    with pytest.raises(Exception):
+    with pytest.raises(InputError):
         run_protocol(demo_prefs, make_policy("uromm"), 0, seed=1)
+    with pytest.raises(InputError):
+        run_protocol(demo_prefs, make_policy("uromm"), 5, seed=1, curve_stride=0)
