@@ -8,6 +8,13 @@ saved trace (so every selection is pinned), and each run's
 11 only compares two runs of the same code; this fixture shows that a
 change of the code changed no output.
 
+The ``ingest`` case runs ``matchlab ingest`` on a small ratings/genders pair
+and compares a SHA-256 of the densified instance and the report with
+``tests/golden/ingest/``.  The pair has one-way likes, ids that are not
+contiguous, ratings on both sides of the like threshold (2 and 3), an
+unknown gender, two users that densification removes and a phantom boy, so
+a densified cell at a swapped or shifted index changes the instance.
+
 After a change that is meant to alter outputs, rewrite the fixture with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -40,6 +47,16 @@ CASES = {
         {"smile.S": "4", "smile.tolerance": "0.05", "ismile.S": "5", "ismile.tolerance": "0"},
     ),
 }
+
+INGEST_GENDERS = ("3,M", "10,M", "17,M", "24,M", "31,M", "44,M",
+                  "6,F", "12,F", "40,F", "41,F", "50,F", "99,U")
+INGEST_RATINGS = (
+    "3,6,9", "3,12,3", "3,40,2", "3,41,7", "10,6,8", "10,40,3", "10,50,1",
+    "17,12,5", "17,41,2", "17,6,10", "24,40,6", "24,41,3", "24,50,4", "31,6,2",
+    "44,12,3", "6,3,8", "6,17,3", "6,24,2", "12,3,4", "12,10,9", "12,17,6",
+    "40,10,3", "40,24,7", "40,3,1", "41,17,2", "41,24,8", "41,10,6", "50,24,3",
+    "50,99,9",
+)
 
 
 def _sha256(path: Path) -> str:
@@ -94,12 +111,40 @@ def run_case(case: str, work: Path, monkeypatch) -> dict[str, str]:
     return files
 
 
+def run_ingest(work: Path) -> dict[str, str]:
+    """Ingest the fixed ratings through the CLI; returns the fixture files' contents by name."""
+    ratings, genders = work / "ratings.csv", work / "genders.csv"
+    ratings.write_text("\n".join(INGEST_RATINGS) + "\n")
+    genders.write_text("\n".join(INGEST_GENDERS) + "\n")
+    inst, report = work / "instance.txt", work / "report.txt"
+    assert cli.main(["ingest", "--ratings", str(ratings), "--genders", str(genders),
+                     "--coeff", "2", "--out", str(inst), "--report", str(report)]) == 0
+    return {"sha256sums.txt": f"{_sha256(inst)}  instance.txt\n", "report.txt": report.read_text()}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_outputs(case, tmp_path, monkeypatch):
     files = run_case(case, tmp_path, monkeypatch)
     for name, text in files.items():
         want = (GOLDEN / case / name).read_text()
         assert text == want, f"{case}/{name} differs from the golden fixture"
+
+
+def test_golden_ingest(tmp_path):
+    files = run_ingest(tmp_path)
+    report = files["report.txt"]
+    assert "removals=2" in report and "phantoms=1" in report  # the cases are exercised
+    for name, text in files.items():
+        want = (GOLDEN / "ingest" / name).read_text()
+        assert text == want, f"ingest/{name} differs from the golden fixture"
+
+
+def _write_fixture(case: str, files: dict[str, str]) -> None:
+    dest = GOLDEN / case
+    dest.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (dest / name).write_text(text)
+    print(f"wrote {dest}", file=sys.stderr)
 
 
 def regenerate() -> None:
@@ -109,12 +154,10 @@ def regenerate() -> None:
         for case in sorted(CASES):
             work = Path(tmp) / case
             work.mkdir()
-            files = run_case(case, work, mp)
-            dest = GOLDEN / case
-            dest.mkdir(parents=True, exist_ok=True)
-            for name, text in files.items():
-                (dest / name).write_text(text)
-            print(f"wrote {dest}", file=sys.stderr)
+            _write_fixture(case, run_case(case, work, mp))
+        work = Path(tmp) / "ingest"
+        work.mkdir()
+        _write_fixture("ingest", run_ingest(work))
 
 
 if __name__ == "__main__":
