@@ -245,7 +245,9 @@ class SampleAgreementTrial:
         return sum(1 for d in self.distances if d > self.distance_bound)
 
 
-def sampled_agreement_trial(matrix, target: int, beta: float, k: int, rng) -> SampleAgreementTrial:
+def sampled_agreement_trial(
+    matrix, target: int, beta: float, k: int, rng: np.random.Generator
+) -> SampleAgreementTrial:
     """Sample k distinct rows; report all columns agreeing with the target there.
 
     Columns that agree on the sample but sit farther than (beta r / k) ln r
@@ -265,16 +267,7 @@ def sampled_agreement_trial(matrix, target: int, beta: float, k: int, rng) -> Sa
     if not 0 <= target < c:
         raise InputError("target column out of range")
 
-    if isinstance(rng, np.random.Generator):
-        rows = rng.choice(r, size=k, replace=False).tolist()
-    else:
-        rows = []
-        seen = set()
-        while len(rows) < k:
-            i = rng.randint(r)
-            if i not in seen:
-                seen.add(i)
-                rows.append(i)
+    rows = rng.choice(r, size=k, replace=False).tolist()
     sample = np.zeros(r, dtype=bool)
     sample[rows] = True
 

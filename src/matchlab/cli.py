@@ -25,6 +25,7 @@ from .core import (
     PreferenceMatrices,
     build_matching_graph,
     delta_overload,
+    masks_to_rows,
     read_instance,
     write_instance,
 )
@@ -161,13 +162,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _load_instance(path) -> PreferenceMatrices:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"instance file not found: {p}")
-    return read_instance(p)
-
-
 # ---------------------------------------------------------------- run
 
 
@@ -194,7 +188,7 @@ def cmd_run(config: ExperimentConfig) -> int:
     after that run is released; every run is checked against it as it
     finishes.
     """
-    prefs = _load_instance(config.instance)
+    prefs = read_instance(config.instance)
     n = prefs.n
     if config.T < 1:
         raise InputError("T must be >= 1")
@@ -365,9 +359,7 @@ def write_trace(path, trace: RoundTrace) -> None:
 
 
 def read_trace(path) -> RoundTrace:
-    """Parse a trace file; a missing or malformed one raises InputError."""
-    if not Path(path).exists():
-        raise InputError(f"trace file not found: {path}")
+    """Parse a trace file; a malformed one raises InputError."""
     with open(path) as f:
         if f.readline().rstrip("\r\n") != TRACE_HEADER:
             raise InputError(f"{path}: not a trace file")
@@ -411,16 +403,15 @@ def _check_trace(trace: RoundTrace, prefs: PreferenceMatrices, path) -> None:
     at its first round that disagrees.
     """
     n = prefs.n
-    cols = (trace.boy_arrivals, trace.girls_selected, trace.girl_arrivals, trace.boys_selected)
-    bad = [np.flatnonzero((c < 0) | (c >= n)) for c in cols]
-    first = min((int(b[0]) for b in bad if len(b)), default=None)
-    if first is not None:
-        raise InputError(f"{path}: round {first + 1} names a user index outside the instance's n = {n}")
-    boys_like, girls_like = prefs.boys_like, prefs.girls_like
-    rows = zip(*(c.tolist() for c in (*cols[:2], trace.signs_bg, *cols[2:], trace.signs_gb)))
-    for t, (b, g1, s1, g, b1, s2) in enumerate(rows, start=1):
-        if (boys_like[b] >> g1) & 1 != (s1 > 0) or (girls_like[g] >> b1) & 1 != (s2 > 0):
-            raise InputError(f"{path}: round {t} records a sign the instance does not have")
+    b, g1, g, b1 = trace.boy_arrivals, trace.girls_selected, trace.girl_arrivals, trace.boys_selected
+    bad = np.flatnonzero(np.logical_or.reduce([(c < 0) | (c >= n) for c in (b, g1, g, b1)]))
+    if len(bad):
+        raise InputError(f"{path}: round {bad[0] + 1} names a user index outside the instance's n = {n}")
+    wrong = masks_to_rows(prefs.boys_like, n)[b, g1] != (trace.signs_bg > 0)  # one side unpacked at a time
+    wrong |= masks_to_rows(prefs.girls_like, n)[g, b1] != (trace.signs_gb > 0)
+    bad = np.flatnonzero(wrong)
+    if len(bad):
+        raise InputError(f"{path}: round {bad[0] + 1} records a sign the instance does not have")
 
 
 # ---------------------------------------------------------------- other commands
@@ -463,7 +454,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    prefs = _load_instance(args.instance)
+    prefs = read_instance(args.instance)
     radii = (
         [int(r) for r in args.radii.split(",")] if args.radii else table_radii(prefs.n)
     )
@@ -480,7 +471,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_yardstick(args) -> int:
-    prefs = _load_instance(args.instance)
+    prefs = read_instance(args.instance)
     trace = read_trace(args.trace)
     _check_trace(trace, prefs, args.trace)
     mg = build_matching_graph(prefs)
@@ -621,6 +612,9 @@ def main(argv=None) -> int:
         return 3
     except MatchlabError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # a missing or unreadable file, or a directory in its place
+        print(f"error: {e.filename}: {e.strerror}" if e.filename else f"error: {e}", file=sys.stderr)
         return 2
 
 

@@ -4,9 +4,11 @@ Both preference matrices are stored row-wise as Python-int bitsets, so the
 mutual-like test for a whole row is one ``&`` and counting is one
 ``bit_count()``.  Bit ``j`` of ``boys_like[i]`` is boy i's sign for girl j
 (1 = like); bit ``j`` of ``girls_like[i]`` is girl i's sign for boy j.
-
-Everything here is immutable after construction and safe to share across
-parallel runs.
+Only this module converts between rows and bits: other modules build
+instances from numpy bool matrices with ``from_bool_arrays``, read them
+back with ``masks_to_rows`` and walk matches with ``MatchingGraph.edges``.
+(The engine, ledger and policies keep bitsets of what was revealed: they
+are the hot path.)
 """
 
 from __future__ import annotations
@@ -79,10 +81,6 @@ def masks_to_rows(masks, n) -> np.ndarray:
     return bits.view(bool)
 
 
-def _transpose_masks(rows, n) -> list[int]:
-    return rows_to_masks(masks_to_rows(rows, n).T)
-
-
 @dataclass(frozen=True)
 class MatchingGraph:
     """Undirected bipartite graph of mutual likes; edge count is M."""
@@ -91,22 +89,26 @@ class MatchingGraph:
     boy_rows: tuple[int, ...]  # bit g of boy_rows[b]: (b, g) is a match
     match_count: int
 
-    def girl_rows(self) -> list[int]:
-        return _transpose_masks(self.boy_rows, self.n)
+    def edges(self):
+        """The matches as (b, g) pairs, by boy and then by girl, ascending."""
+        for b, m in enumerate(self.boy_rows):
+            while m:
+                low = m & -m
+                yield b, low.bit_length() - 1
+                m ^= low
 
 
 def build_matching_graph(prefs: PreferenceMatrices) -> MatchingGraph:
     """Edges are exactly the pairs liking each other in both directions."""
     n = prefs.n
-    gcols = _transpose_masks(prefs.girls_like, n)  # gcols[b]: girls that like boy b
+    gcols = rows_to_masks(masks_to_rows(prefs.girls_like, n).T)  # gcols[b]: girls that like boy b
     rows = tuple(prefs.boys_like[b] & gcols[b] for b in range(n))
     return MatchingGraph(n, rows, sum(r.bit_count() for r in rows))
 
 
 def all_degrees(mg: MatchingGraph) -> tuple[list[int], list[int]]:
-    boy_deg = [r.bit_count() for r in mg.boy_rows]
-    girl_deg = [c.bit_count() for c in mg.girl_rows()]
-    return boy_deg, girl_deg
+    rows = masks_to_rows(mg.boy_rows, mg.n)
+    return np.count_nonzero(rows, axis=1).tolist(), np.count_nonzero(rows, axis=0).tolist()
 
 
 def delta_overload(mg: MatchingGraph, T: int) -> Fraction:
@@ -133,13 +135,12 @@ def delta_overload(mg: MatchingGraph, T: int) -> Fraction:
 
 def write_instance(prefs: PreferenceMatrices, path) -> None:
     n = prefs.n
-    lines = [str(n)]
-    for r in prefs.boys_like:
-        lines.append("".join("1" if (r >> j) & 1 else "0" for j in range(n)))
-    lines.append("")
-    for r in prefs.girls_like:
-        lines.append("".join("1" if (r >> j) & 1 else "0" for j in range(n)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write(f"{n}\n")
+        for sep, masks in (("", prefs.boys_like), ("\n", prefs.girls_like)):
+            f.write(sep)
+            for bits in masks_to_rows(masks, n):  # one side unpacked at a time
+                f.write((bits.view(np.uint8) + ord("0")).tobytes().decode() + "\n")
 
 
 def read_instance(path) -> PreferenceMatrices:

@@ -92,14 +92,10 @@ def gen_adversarial_random(n: int, m: int, seed: int) -> PreferenceMatrices:
     if not 0 <= m <= n * n // 2:
         raise InputError(f"m must lie in [0, n^2/2] = [0, {n * n // 2}], got {m}")
     rng = philox(seed, STREAM_DATAGEN)
-    picks = rng.choice(n * n, size=m, replace=False) if m else np.empty(0, dtype=int)
-    boys = [0] * n
-    girls = [0] * n
-    for p in picks.tolist():
-        b, g = divmod(int(p), n)
-        boys[b] |= 1 << g
-        girls[g] |= 1 << b
-    return PreferenceMatrices(n, tuple(boys), tuple(girls))
+    likes = np.zeros(n * n, dtype=bool)
+    likes[rng.choice(n * n, size=m, replace=False)] = True  # pick p is the pair divmod(p, n)
+    likes = likes.reshape(n, n)
+    return PreferenceMatrices.from_bool_arrays(likes, likes.T)
 
 
 def gen_block_lowerbound(n: int, d: int, m: int, seed: int) -> PreferenceMatrices:
@@ -115,16 +111,11 @@ def gen_block_lowerbound(n: int, d: int, m: int, seed: int) -> PreferenceMatrice
     if not (n * ln < m < n * n - n * ln):
         raise InputError(f"m must lie in (n ln n, n^2 - n ln n) = ({n * ln:.1f}, {n * n - n * ln:.1f})")
     rng = philox(seed, STREAM_DATAGEN)
-    width = n // d
     k = (m * d) // n
-    picks = rng.choice(n * d, size=k, replace=False)
-    boys = [0] * n
-    block_ones = (1 << width) - 1
-    for p in picks.tolist():
-        row, blk = divmod(int(p), d)
-        boys[row] |= block_ones << (blk * width)
-    full = (1 << n) - 1
-    return PreferenceMatrices(n, tuple(boys), tuple([full] * n))
+    blocks = np.zeros(n * d, dtype=bool)
+    blocks[rng.choice(n * d, size=k, replace=False)] = True  # pick p is (row, block) = divmod(p, d)
+    boys = np.repeat(blocks.reshape(n, d), n // d, axis=1)
+    return PreferenceMatrices.from_bool_arrays(boys, np.ones((n, n), dtype=bool))
 
 
 def gen_random_bipartite(n: int, p: float, seed: int) -> tuple[MatchingGraph, PreferenceMatrices]:
@@ -154,6 +145,6 @@ def tiny_demo_instance() -> PreferenceMatrices:
     girls = ["1101", "0001", "1000", "0010"]
 
     def rows(strs):
-        return tuple(int(s[::-1], 2) for s in strs)
+        return np.array([list(s) for s in strs]) == "1"
 
-    return PreferenceMatrices(4, rows(boys), rows(girls))
+    return PreferenceMatrices.from_bool_arrays(rows(boys), rows(girls))

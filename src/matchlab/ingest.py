@@ -16,6 +16,8 @@ import heapq
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .core import PreferenceMatrices, build_matching_graph
 from .errors import InputError, ParseError
 
@@ -205,17 +207,17 @@ def densify(bin_likes: BinaryLikes, c: float, count_mode: str = "both"):
     b_index = {b: i for i, b in enumerate(boys)}
     g_index = {g: i for i, g in enumerate(girls)}
     n = max(len(boys), len(girls))
-    boy_rows = [0] * n
-    girl_rows = [0] * n
-    for b in boys:
-        for g in bin_likes.likes_bg[b]:
-            if g in alive:
-                boy_rows[b_index[b]] |= 1 << g_index[g]
-    for g in girls:
-        for b in bin_likes.likes_gb[g]:
-            if b in alive:
-                girl_rows[g_index[g]] |= 1 << b_index[b]
-    prefs = PreferenceMatrices(n, tuple(boy_rows), tuple(girl_rows))
+
+    def dense(likes, rows, cols):
+        # rows/cols map the survivors to their dense index; the rest are phantoms
+        out = np.zeros((n, n), dtype=bool)
+        for u, i in rows.items():
+            out[i, [cols[v] for v in likes[u] if v in cols]] = True
+        return out
+
+    prefs = PreferenceMatrices.from_bool_arrays(
+        dense(bin_likes.likes_bg, b_index, g_index), dense(bin_likes.likes_gb, g_index, b_index)
+    )
 
     report.final_boys = len(boys)
     report.final_girls = len(girls)

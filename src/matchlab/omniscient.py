@@ -102,13 +102,8 @@ def build_flow_network(mg: MatchingGraph, counts: ArrivalCounts) -> FlowNetwork:
     for b in range(n):
         if boy_counts[b] > 0:
             net.add_arc(s, b, boy_counts[b])
-    for b, row in enumerate(mg.boy_rows):
-        m = row
-        while m:
-            low = m & -m
-            g = low.bit_length() - 1
-            net.unit_arcs.append(net.add_arc(b, n + g, 1))
-            m ^= low
+    for b, g in mg.edges():
+        net.unit_arcs.append(net.add_arc(b, n + g, 1))
     for g in range(n):
         if girl_counts[g] > 0:
             net.add_arc(n + g, t, girl_counts[g])

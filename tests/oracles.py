@@ -311,16 +311,7 @@ def sampled_agreement_trial_loop(matrix, target, beta, k, rng):
     m = np.asarray(matrix, dtype=bool)
     r, c = m.shape
     cols = [sum(1 << i for i, v in enumerate(m[:, j].tolist()) if v) for j in range(c)]
-    if isinstance(rng, np.random.Generator):
-        rows = rng.choice(r, size=k, replace=False).tolist()
-    else:
-        rows = []
-        seen = set()
-        while len(rows) < k:
-            i = rng.randint(r)
-            if i not in seen:
-                seen.add(i)
-                rows.append(i)
+    rows = rng.choice(r, size=k, replace=False).tolist()
     sample_mask = 0
     for i in rows:
         sample_mask |= 1 << int(i)

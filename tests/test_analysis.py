@@ -231,16 +231,10 @@ def test_trial_input_validation():
         sampled_agreement_trial(m, target=0, beta=3, k=3, rng=gen)  # k below ceil(beta ln r)
 
 
-@pytest.mark.parametrize("rng_kind", ["generator", "substream"])
-def test_trial_matches_loop_oracle(rng_kind):
-    from matchlab.rng import SubstreamRng
-
-    def make_rng():
-        return philox(6, 19) if rng_kind == "generator" else SubstreamRng(6, 19)
-
+def test_trial_matches_loop_oracle():
     gen = philox(5, 19)
     r, k = 96, math.ceil(3 * math.log(96))
-    got_rng, want_rng = make_rng(), make_rng()
+    got_rng, want_rng = philox(6, 19), philox(6, 19)
     several = inexact = 0
     for trial in range(40):
         # noisy copies of four patterns: agreeing sets with several columns

@@ -344,6 +344,56 @@ def test_yardstick_rejects_trace_of_another_instance(tmp_path, capsys):
     assert len(err) == 1 and "round " in err[0] and "sign" in err[0]
 
 
+@pytest.mark.parametrize(
+    "flips, first", [({3: 6, 5: 3}, 3), ({5: 3}, 5)], ids=["both-sides", "boy-to-girl-only"]
+)
+def test_yardstick_names_first_round_with_a_wrong_sign(tmp_path, capsys, flips, first):
+    # flips maps a round to the trace field whose sign is negated there:
+    # field 3 is the boy-to-girl sign, field 6 the girl-to-boy sign
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "clustered", "--n", 20, "--c-b", 2, "--c-g", 2, "--seed", 1, "--out", inst)
+    tpath = tmp_path / "run.trace.csv"
+    write_trace(tpath, run_protocol(read_instance(inst), make_policy("uromm"), 10, seed=0).trace)
+    lines = tpath.read_text().splitlines()
+    for t, field in flips.items():
+        values = lines[t].split(",")
+        values[field] = str(-int(values[field]))
+        lines[t] = ",".join(values)
+    tpath.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("yardstick", inst, tpath) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tpath}: round {first} records a sign the instance does not have\n"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["run", "run-instance", "ingest", "cover", "yardstick"])
+def test_unreadable_input_file_exits_2_with_one_line(tmp_path, capsys, command, kind):
+    # these escaped as FileNotFoundError and IsADirectoryError tracebacks
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    tpath = tmp_path / "run.trace.csv"
+    write_trace(tpath, run_protocol(read_instance(inst), make_policy("uromm"), 2, seed=0).trace)
+    genders = tmp_path / "g.csv"
+    genders.write_text("1,M\n2,F\n")
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    cfg = write_config(tmp_path / "cfg", instance=bad, policies="uromm", T=10, seeds=1, out=tmp_path / "o")
+    args = {
+        "run": ["run", bad],
+        "run-instance": ["run", cfg],
+        "ingest": ["ingest", "--ratings", bad, "--genders", genders,
+                   "--out", tmp_path / "o.txt", "--report", tmp_path / "r.txt"],
+        "cover": ["cover", bad],
+        "yardstick": ["yardstick", bad, tpath],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
 def test_yardstick_rejects_index_outside_instance(tmp_path, capsys):
     big, small = tmp_path / "big.txt", tmp_path / "small.txt"
     run_cli("gen", "adversarial", "--n", 20, "--m", 60, "--seed", 0, "--out", big)

@@ -13,7 +13,7 @@ from matchlab import (
     read_instance,
     write_instance,
 )
-from matchlab.core import _transpose_masks, all_degrees
+from matchlab.core import all_degrees
 from matchlab.rng import philox
 
 from oracles import and_matrix_edges
@@ -44,8 +44,8 @@ def test_all_false_gives_empty_graph():
 def test_graph_equals_entrywise_and_oracle():
     prefs = random_prefs(8, seed=42)
     mg = build_matching_graph(prefs)
-    edges = {(b, g) for b in range(8) for g in range(8) if (mg.boy_rows[b] >> g) & 1}
-    assert edges == and_matrix_edges(prefs)
+    assert {(b, g) for b in range(8) for g in range(8) if (mg.boy_rows[b] >> g) & 1} == and_matrix_edges(prefs)
+    assert list(mg.edges()) == sorted(and_matrix_edges(prefs))  # by boy, then by girl
 
 
 def test_degree_equals_popcount_oracle():
@@ -92,11 +92,10 @@ bool_matrix = st.integers(1, 6).flatmap(
 def test_matching_symmetry_and_count(data):
     n, boys, girls = data
     mg = build_matching_graph(PreferenceMatrices(n, tuple(boys), tuple(girls)))
-    girl_rows = mg.girl_rows()
-    for b in range(n):
-        for g in range(n):
-            assert ((mg.boy_rows[b] >> g) & 1) == ((girl_rows[g] >> b) & 1)
+    edges = list(mg.edges())
     boy_deg, girl_deg = all_degrees(mg)
+    assert boy_deg == [sum(1 for b, _ in edges if b == x) for x in range(n)]
+    assert girl_deg == [sum(1 for _, g in edges if g == x) for x in range(n)]
     assert sum(boy_deg) == sum(girl_deg) == mg.match_count
     assert all(0 <= d <= n for d in boy_deg + girl_deg)
 
@@ -141,8 +140,8 @@ def test_bitset_conversions_match_bit_loops(data):
     assert b.dtype == bool and b.shape == g.shape == (n, n)
     assert b.tolist() == [[bool((r >> j) & 1) for j in range(n)] for r in boys]
     assert g.tolist() == [[bool((r >> j) & 1) for j in range(n)] for r in girls]
-    assert _transpose_masks(boys, n) == [
-        sum(((boys[i] >> j) & 1) << i for i in range(n)) for j in range(n)
+    assert list(build_matching_graph(prefs).edges()) == [
+        (i, j) for i in range(n) for j in range(n) if (boys[i] >> j) & 1 and (girls[j] >> i) & 1
     ]
 
 

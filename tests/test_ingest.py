@@ -154,6 +154,5 @@ def test_phantoms_never_match(tmp_path):
     raw = dense_core_fixture(tmp_path)
     prefs, report = densify(binarize(raw), c=7.0)
     mg = build_matching_graph(prefs)
-    girl_rows = mg.girl_rows()
-    for g in range(report.final_girls, report.n):
-        assert girl_rows[g] == 0  # phantom girls have no matches
+    assert report.final_girls < report.n  # the case is exercised
+    assert all(g < report.final_girls for _, g in mg.edges())  # phantom girls have no matches
