@@ -209,7 +209,7 @@ def densify(bin_likes: BinaryLikes, c: float, count_mode: str = "both"):
     n = max(len(boys), len(girls))
 
     def dense(likes, rows, cols):
-        # rows/cols map the survivors to their dense index; the rest are phantoms
+        # rows/cols give each survivor its dense index; indices past them are phantoms
         out = np.zeros((n, n), dtype=bool)
         for u, i in rows.items():
             out[i, [cols[v] for v in likes[u] if v in cols]] = True

@@ -44,8 +44,9 @@ def test_all_false_gives_empty_graph():
 def test_graph_equals_entrywise_and_oracle():
     prefs = random_prefs(8, seed=42)
     mg = build_matching_graph(prefs)
-    assert {(b, g) for b in range(8) for g in range(8) if (mg.boy_rows[b] >> g) & 1} == and_matrix_edges(prefs)
-    assert list(mg.edges()) == sorted(and_matrix_edges(prefs))  # by boy, then by girl
+    edges = {(b, g) for b in range(8) for g in range(8) if (mg.boy_rows[b] >> g) & 1}
+    assert edges == and_matrix_edges(prefs)
+    assert list(mg.edges()) == sorted(edges)  # by boy, then by girl
 
 
 def test_degree_equals_popcount_oracle():
