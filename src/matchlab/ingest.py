@@ -13,6 +13,7 @@ match and are excluded from reported metrics).
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -158,17 +159,24 @@ def densify(bin_likes: BinaryLikes, c: float, count_mode: str = "both"):
     n_boys = len(bin_likes.boys)
     n_girls = len(bin_likes.girls)
     like_count = bin_likes.like_count
+    rated_of, rated_by = bin_likes.rated_of, bin_likes.rated_by
+    likes = bin_likes.likes_bg | bin_likes.likes_gb
+    liked_by: dict[int, list[int]] = {u: [] for u in alive}
+    for u, liked in likes.items():
+        for v in liked:
+            if v in liked_by:
+                liked_by[v].append(u)
 
-    def count_of(u):
-        given = sum(1 for v in bin_likes.rated_of[u] if v in alive)
-        received = sum(1 for v in bin_likes.rated_by[u] if v in alive)
-        if count_mode == "given":
-            return given
-        if count_mode == "received":
-            return received
-        return given + received
-
-    counts = {u: count_of(u) for u in alive}
+    # Live counts drop as neighbours go.  rated_of[u] and rated_by[u] may
+    # repeat an id, once per rating, and count that often.
+    use_given = count_mode != "received"
+    use_received = count_mode != "given"
+    counts = dict.fromkeys(alive, 0)
+    for u in alive:
+        if use_given:
+            counts[u] += sum(v in alive for v in rated_of[u])
+        if use_received:
+            counts[u] += sum(v in alive for v in rated_by[u])
     heap = [(cnt, u) for u, cnt in counts.items()]
     heapq.heapify(heap)
     report = DensifyReport(coefficient=c, count_mode=count_mode)
@@ -189,17 +197,17 @@ def densify(bin_likes: BinaryLikes, c: float, count_mode: str = "both"):
         report.removals.append((u, genders[u], cnt))
         if genders[u] == "M":
             n_boys -= 1
-            like_count -= sum(1 for v in bin_likes.likes_bg[u] if v in alive)
-            like_count -= sum(1 for g in bin_likes.girls if g in alive and u in bin_likes.likes_gb[g])
         else:
             n_girls -= 1
-            like_count -= sum(1 for v in bin_likes.likes_gb[u] if v in alive)
-            like_count -= sum(1 for b in bin_likes.boys if b in alive and u in bin_likes.likes_bg[b])
+        like_count -= sum(v in alive for v in likes[u]) + sum(v in alive for v in liked_by[u])
         if n_boys == 0 or n_girls == 0:
             raise InputError("densification removed a whole side before reaching the target")
-        for v in set(bin_likes.rated_of[u]) | set(bin_likes.rated_by[u]):
+        # u's ratings of v were ratings v received, u's raters gave theirs to u
+        lost = Counter(rated_of[u] if use_received else ())
+        lost.update(rated_by[u] if use_given else ())
+        for v, k in lost.items():
             if v in alive:
-                counts[v] = count_of(v)
+                counts[v] -= k
                 heapq.heappush(heap, (counts[v], v))
 
     boys = [b for b in bin_likes.boys if b in alive]

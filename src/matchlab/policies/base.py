@@ -47,9 +47,12 @@ class MatchmakerPolicy:
         return {}
 
 
-def lowest_unqueried(observed_mask: int, n: int) -> int:
-    """Deterministic 'arbitrary' selection: lowest index not yet queried, else 0."""
-    free = ~observed_mask & ((1 << n) - 1)
+def lowest_unqueried(observed_mask: int, full: int) -> int:
+    """Deterministic 'arbitrary' selection: lowest index not yet queried, else 0.
+
+    ``full`` is the policy's precomputed all-ones row, ``(1 << n) - 1``.
+    """
+    free = ~observed_mask & full
     if free:
         return (free & -free).bit_length() - 1
     return 0

@@ -15,6 +15,14 @@ like), and each user's view of the other side's clusters.  The engine's
 four entry points pass the arriving user's side and the other side to
 ``_select`` and ``_observe``.
 
+Most half-rounds at T = 2n^2 have nothing new to ask, so ``_select`` keeps
+them cheap.  A liked cluster whose members x has all queried is exhausted
+for x: it leaves x's ``live`` list and waits under its cluster id until the
+cluster gains a member, which revives it (clusters do grow after users have
+passed their end, so an exhausted cluster cannot be dropped for good).  A
+user who has queried every counterpart gets the cursor user or 0 at once,
+which is where the full priority chain would end.
+
 Differences from the phased policy: the sampling size is S + ceil(sqrt(S ln n)),
 and the cluster-membership test forgives mismatches on up to a 1/ln n
 fraction of the common raters, which keeps near-duplicate clusters merged on
@@ -24,6 +32,7 @@ noisy data.  Logs are natural throughout.
 from __future__ import annotations
 
 import math
+from bisect import insort
 
 from .base import MatchmakerPolicy, lowest_unqueried
 from .clusters import PolicySide, make_sides
@@ -35,19 +44,24 @@ class IsmileSide(PolicySide):
 
     Per user x: ``cpref[x]`` maps the other side's cluster ids to x's sign
     for them, ``toask[x]`` queues the clusters still unknown to x,
-    ``exploit[x]`` lists the liked ones and ``eptr[x]`` holds a forward
-    pointer into each.  ``ctx`` is the (user, cluster) of a pending
-    one-probe decision.
+    ``exploit[x]`` lists the liked ones and ``eptr[x][k]`` is a forward
+    pointer into the members of ``exploit[x][k]``.  ``live[x]`` holds, in
+    ascending order, the indices k whose cluster x has not exhausted;
+    ``waiting[cid]`` files the (x, k) whose cluster ``cid`` was exhausted,
+    until ``cid`` gains a member and they return to ``live``.  ``ctx`` is
+    the (user, cluster) of a pending one-probe decision.
     """
 
-    __slots__ = ("cpref", "toask", "exploit", "eptr", "ctx")
+    __slots__ = ("cpref", "toask", "exploit", "eptr", "live", "waiting", "ctx")
 
     def __init__(self, n, obs, pos, clusters):
         super().__init__(n, obs, pos, clusters)
         self.cpref: list[dict[int, int]] = [dict() for _ in range(n)]
         self.toask: list[dict[int, None]] = [dict() for _ in range(n)]
         self.exploit: list[list[int]] = [[] for _ in range(n)]
-        self.eptr: list[dict[int, int]] = [dict() for _ in range(n)]
+        self.eptr: list[list[int]] = [[] for _ in range(n)]
+        self.live: list[list[int]] = [[] for _ in range(n)]
+        self.waiting: dict[int, list[tuple[int, int]]] = {}
         self.ctx: tuple[int, int] | None = None
 
 
@@ -93,20 +107,34 @@ class IsmilePolicy(MatchmakerPolicy):
     def _select(self, me, other, x):
         obs = me.obs[x]
         target = other.clusters
+        if obs == self.full:
+            # nothing left to ask: every step below falls through to this,
+            # changing only x's own state, which only x's selects read
+            return target.order[target.cursor] if target.cursor < self.n else 0
         members = target.members
 
-        # clusters x is known to like, forward pointer per cluster
-        eptr = me.eptr[x]
-        for cid in me.exploit[x]:
-            mem = members[cid]
-            ptr = eptr.get(cid, 0)
-            while ptr < len(mem):
-                y = mem[ptr]
-                if not (obs >> y) & 1:
-                    eptr[cid] = ptr
-                    return y
-                ptr += 1
-            eptr[cid] = ptr
+        # clusters x is known to like and has not exhausted, forward pointer
+        # per cluster; exhausted ones wait until their cluster grows
+        live = me.live[x]
+        if live:
+            exploit = me.exploit[x]
+            eptr = me.eptr[x]
+            waiting = me.waiting
+            passed = 0
+            for k in live:
+                mem = members[exploit[k]]
+                ptr = eptr[k]
+                while ptr < len(mem):
+                    y = mem[ptr]
+                    if not (obs >> y) & 1:
+                        eptr[k] = ptr
+                        del live[:passed]
+                        return y
+                    ptr += 1
+                eptr[k] = ptr
+                waiting.setdefault(exploit[k], []).append((x, k))
+                passed += 1
+            live.clear()
 
         # one probe decides an unknown cluster
         toask = me.toask[x]
@@ -138,7 +166,7 @@ class IsmilePolicy(MatchmakerPolicy):
         m = ~me.clusters.f[x] & ~obs & self.full
         if m:
             return (m & -m).bit_length() - 1
-        return lowest_unqueried(obs, self.n)
+        return lowest_unqueried(obs, self.full)
 
     def _observe(self, me, other, x, y, sign):
         ctx = me.ctx
@@ -159,7 +187,9 @@ class IsmilePolicy(MatchmakerPolicy):
         if cid not in pref:
             pref[cid] = sign
             if sign > 0:
+                me.live[x].append(len(me.exploit[x]))
                 me.exploit[x].append(cid)
+                me.eptr[x].append(0)
 
     def _on_cluster_event(self, me, target, event):
         """A cluster of the other side (``target``) formed or grew from ``me``'s feedback."""
@@ -175,7 +205,10 @@ class IsmilePolicy(MatchmakerPolicy):
                 elif cid not in me.cpref[x]:
                     me.toask[x][cid] = None
             return
-        # classified: the new member's raters now know their sign for this cluster
+        # classified: users who exhausted the cluster have a new member to ask
+        for x, k in me.waiting.pop(cid, ()):
+            insort(me.live[x], k)
+        # and the new member's raters now know their sign for this cluster
         m = f
         while m:
             low = m & -m

@@ -152,6 +152,7 @@ class SmilePolicy(MatchmakerPolicy):
 
     def start(self, n, T, rng, ledger):
         super().start(n, T, rng, ledger)
+        self.full = (1 << n) - 1
         # S' is set once phase 0 has fixed S; nothing is clustered before
         self.boys, self.girls = make_sides(SmileSide, ledger, rng, None, self.tolerance)
         self.phase = PHASE_ESTIMATE
@@ -181,11 +182,14 @@ class SmilePolicy(MatchmakerPolicy):
     def select_for_girl(self, g, t):
         return self._select(self.girls, self.boys, g, t)
 
+    # phase II learns nothing from a sign, so its half-rounds skip _observe
     def observe_boy_feedback(self, b, g, sign, t):
-        self._observe(self.boys, self.girls, b, g, sign, t)
+        if self.phase != PHASE_MATCH:
+            self._observe(self.boys, self.girls, b, g, sign, t)
 
     def observe_girl_feedback(self, g, b, sign, t):
-        self._observe(self.girls, self.boys, g, b, sign, t)
+        if self.phase != PHASE_MATCH:
+            self._observe(self.girls, self.boys, g, b, sign, t)
 
     # ---------------------------------------------------------- one half-round
     def _select(self, me, other, x, t):
@@ -197,12 +201,16 @@ class SmilePolicy(MatchmakerPolicy):
             if target.cursor < self.n:
                 return target.order[target.cursor]
             if me.clusters.cursor < self.n:
-                return lowest_unqueried(me.obs[x], self.n)
+                return lowest_unqueried(me.obs[x], self.full)
             self._enter_matching()
-        y = self._walk(me, other, x)
-        if y is not None:
-            return y
-        return lowest_unqueried(me.obs[x], self.n)
+        # A walk past its last cell finds nothing and moves no pointer, so an
+        # exhausted user (most phase II arrivals at T = 2n^2) skips it.  A walk
+        # not yet exhausted must run: it advances phase2_ops.
+        if me.ptr_cell[x] < len(me.cells[me.a[x]]):
+            y = self._walk(me, other, x)
+            if y is not None:
+                return y
+        return lowest_unqueried(me.obs[x], self.full)
 
     def _observe(self, me, other, x, y, sign, t):
         phase = self.phase
@@ -240,13 +248,14 @@ class SmilePolicy(MatchmakerPolicy):
 
     # ---------------------------------------------------------- phase II
     def _walk(self, me, other, x):
-        """Next unqueried counterpart estimated mutual with x, or None."""
+        """Next unqueried counterpart estimated mutual with x, or None.
+
+        The caller skips a walk that is already past its last cell.
+        """
         i = me.a[x]
         row = me.cells[i]
         c = len(row)
         j = me.ptr_cell[x]
-        if j >= c:
-            return None
         other_cells = other.cells
         off = me.ptr_off[x]
         obs = me.obs[x]

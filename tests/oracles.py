@@ -328,3 +328,186 @@ def sampled_agreement_trial_loop(matrix, target, beta, k, rng):
     return SampleAgreementTrial(
         r, c, target, tuple(int(i) for i in rows), beta, tuple(agreeing), tuple(dists), bound
     )
+
+
+def densify_loop(bin_likes, c, count_mode="both"):
+    """``ingest.densify`` recounting from scratch: after each removal every
+    live neighbour's count is rebuilt from all its ratings, and the lost
+    likes are found by scanning the other side's whole population."""
+    import heapq
+
+    import numpy as np
+
+    from matchlab.core import PreferenceMatrices, build_matching_graph
+    from matchlab.errors import InputError
+    from matchlab.ingest import COUNT_MODES, DensifyReport
+
+    if c <= 0:
+        raise InputError("coefficient must be positive")
+    if count_mode not in COUNT_MODES:
+        raise InputError(f"count_mode must be one of {COUNT_MODES}")
+
+    genders = {b: "M" for b in bin_likes.boys}
+    genders.update({g: "F" for g in bin_likes.girls})
+    alive = set(bin_likes.boys) | set(bin_likes.girls)
+    n_boys = len(bin_likes.boys)
+    n_girls = len(bin_likes.girls)
+    like_count = bin_likes.like_count
+
+    def count_of(u):
+        given = sum(1 for v in bin_likes.rated_of[u] if v in alive)
+        received = sum(1 for v in bin_likes.rated_by[u] if v in alive)
+        if count_mode == "given":
+            return given
+        if count_mode == "received":
+            return received
+        return given + received
+
+    counts = {u: count_of(u) for u in alive}
+    heap = [(cnt, u) for u, cnt in counts.items()]
+    heapq.heapify(heap)
+    report = DensifyReport(coefficient=c, count_mode=count_mode)
+
+    def satisfied():
+        if n_boys == 0 or n_girls == 0:
+            return False
+        return like_count >= c * min(n_boys, n_girls) ** 1.5
+
+    while not satisfied():
+        while heap:
+            cnt, u = heapq.heappop(heap)
+            if u in alive and counts[u] == cnt:
+                break
+        else:
+            raise InputError("densification removed everyone before reaching the target")
+        alive.discard(u)
+        report.removals.append((u, genders[u], cnt))
+        if genders[u] == "M":
+            n_boys -= 1
+            like_count -= sum(1 for v in bin_likes.likes_bg[u] if v in alive)
+            like_count -= sum(1 for g in bin_likes.girls if g in alive and u in bin_likes.likes_gb[g])
+        else:
+            n_girls -= 1
+            like_count -= sum(1 for v in bin_likes.likes_gb[u] if v in alive)
+            like_count -= sum(1 for b in bin_likes.boys if b in alive and u in bin_likes.likes_bg[b])
+        if n_boys == 0 or n_girls == 0:
+            raise InputError("densification removed a whole side before reaching the target")
+        for v in set(bin_likes.rated_of[u]) | set(bin_likes.rated_by[u]):
+            if v in alive:
+                counts[v] = count_of(v)
+                heapq.heappush(heap, (counts[v], v))
+
+    boys = [b for b in bin_likes.boys if b in alive]
+    girls = [g for g in bin_likes.girls if g in alive]
+    b_index = {b: i for i, b in enumerate(boys)}
+    g_index = {g: i for i, g in enumerate(girls)}
+    n = max(len(boys), len(girls))
+
+    def dense(likes, rows, cols):
+        # rows/cols give each survivor its dense index; indices past them are phantoms
+        out = np.zeros((n, n), dtype=bool)
+        for u, i in rows.items():
+            out[i, [cols[v] for v in likes[u] if v in cols]] = True
+        return out
+
+    prefs = PreferenceMatrices.from_bool_arrays(
+        dense(bin_likes.likes_bg, b_index, g_index), dense(bin_likes.likes_gb, g_index, b_index)
+    )
+
+    report.final_boys = len(boys)
+    report.final_girls = len(girls)
+    report.like_count = like_count
+    report.match_count = build_matching_graph(prefs).match_count
+    report.phantoms = n - min(len(boys), len(girls))
+    report.n = n
+    return prefs, report
+
+
+# -------------------------------------------------- policy selects before their fast paths
+from matchlab.policies.ismile import IsmilePolicy  # noqa: E402
+from matchlab.policies.smile import SmilePolicy  # noqa: E402
+
+
+class IsmileScanAll(IsmilePolicy):
+    """ismile whose select walks the whole priority chain on every arrival:
+    every liked cluster is rescanned, exhausted or not, and a user who has
+    queried everyone still drains ``toask``.  ``live`` and ``waiting`` are
+    kept up by the inherited events but never read."""
+
+    name = "ismile"
+
+    def _select(self, me, other, x):
+        obs = me.obs[x]
+        target = other.clusters
+        members = target.members
+
+        exploit, eptr = me.exploit[x], me.eptr[x]
+        for k, cid in enumerate(exploit):
+            mem = members[cid]
+            ptr = eptr[k]
+            while ptr < len(mem):
+                y = mem[ptr]
+                if not (obs >> y) & 1:
+                    eptr[k] = ptr
+                    return y
+                ptr += 1
+            eptr[k] = ptr
+
+        toask = me.toask[x]
+        while toask:
+            cid = next(iter(toask))
+            sel = None
+            for y in members[cid]:
+                if not (obs >> y) & 1:
+                    sel = y
+                    break
+            if sel is None:
+                del toask[cid]
+                self._set_cpref(me, x, cid, 1 if (me.pos[x] >> members[cid][0]) & 1 else -1)
+                continue
+            me.ctx = (x, cid)
+            return sel
+
+        m = me.clusters.pos[x] & ~obs & self.full
+        if m:
+            return (m & -m).bit_length() - 1
+        if target.cursor < self.n:
+            return target.order[target.cursor]
+        m = ~me.clusters.f[x] & ~obs & self.full
+        if m:
+            return (m & -m).bit_length() - 1
+        free = ~obs & self.full
+        return (free & -free).bit_length() - 1 if free else 0
+
+
+class SmileAlwaysWalk(SmilePolicy):
+    """smile that runs the phase II walk and ``_observe`` on every
+    half-round, exhausted walk or not."""
+
+    name = "smile"
+
+    def observe_boy_feedback(self, b, g, sign, t):
+        self._observe(self.boys, self.girls, b, g, sign, t)
+
+    def observe_girl_feedback(self, g, b, sign, t):
+        self._observe(self.girls, self.boys, g, b, sign, t)
+
+    def _select(self, me, other, x, t):
+        free = ~me.obs[x] & self.full
+        lowest = (free & -free).bit_length() - 1 if free else 0
+        if self.phase == "estimate_m":
+            return me.p0_select(x, t)
+        if self.phase == "cluster_estimation":
+            target = other.clusters
+            if target.cursor < self.n:
+                return target.order[target.cursor]
+            if me.clusters.cursor < self.n:
+                return lowest
+            self._enter_matching()
+        y = self._walk(me, other, x)
+        return lowest if y is None else y
+
+    def _walk(self, me, other, x):
+        if me.ptr_cell[x] >= len(me.cells[me.a[x]]):
+            return None
+        return super()._walk(me, other, x)

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchlab import InputError, build_matching_graph
 from matchlab.errors import ParseError
-from matchlab.ingest import binarize, densify, parse_ratings
+from matchlab.ingest import RawRatings, binarize, densify, parse_ratings
+
+from oracles import densify_loop
 
 
 def write(tmp_path, name, lines):
@@ -156,3 +160,41 @@ def test_phantoms_never_match(tmp_path):
     mg = build_matching_graph(prefs)
     assert report.final_girls < report.n  # the case is exercised
     assert all(g < report.final_girls for _, g in mg.edges())  # phantom girls have no matches
+
+
+@st.composite
+def rating_sets(draw):
+    """A core of men (ids 0..) and women (ids 100..) who rate each other
+    mostly as likes, plus fringe users of both genders with a few ratings
+    to and from anyone.  A pair may be rated more than once, so the rating
+    lists repeat ids."""
+    core_m = list(range(draw(st.integers(1, 5))))
+    core_w = list(range(100, 100 + draw(st.integers(1, 5))))
+    men = core_m + list(range(50, 50 + draw(st.integers(0, 5))))
+    women = core_w + list(range(150, 150 + draw(st.integers(0, 5))))
+    like = st.integers(3, 10)
+    triples = [(m, w, draw(like)) for m in core_m for w in core_w]
+    triples += [(w, m, draw(like)) for m in core_m for w in core_w]
+    pair = st.one_of(
+        st.tuples(st.sampled_from(men), st.sampled_from(women)),
+        st.tuples(st.sampled_from(women), st.sampled_from(men)),
+    )
+    fringe = draw(st.lists(st.tuples(pair, st.integers(1, 10)), max_size=30))
+    triples += [(a, b, r) for (a, b), r in fringe]
+    genders = {u: "M" for u in men} | {u: "F" for u in women}
+    return RawRatings(draw(st.permutations(triples)), genders)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=rating_sets(), ratio=st.floats(1.0, 1.6), mode=st.sampled_from(["both", "given", "received"]))
+def test_densify_matches_full_recount(raw, ratio, mode):
+    # aim at ratio times the starting density, so most cases remove users
+    b = binarize(raw)
+    c = max(0.01, ratio * b.like_count / max(1, min(len(b.boys), len(b.girls))) ** 1.5)
+    try:
+        want = densify_loop(binarize(raw), c, mode)
+    except InputError as e:
+        with pytest.raises(InputError, match=f"^{e}$"):
+            densify(binarize(raw), c, mode)
+        return
+    assert densify(binarize(raw), c, mode) == want
