@@ -434,8 +434,6 @@ class IsmileScanAll(IsmilePolicy):
     queried everyone still drains ``toask``.  ``live`` and ``waiting`` are
     kept up by the inherited events but never read."""
 
-    name = "ismile"
-
     def _select(self, me, other, x):
         obs = me.obs[x]
         target = other.clusters
@@ -483,8 +481,6 @@ class IsmileScanAll(IsmilePolicy):
 class SmileAlwaysWalk(SmilePolicy):
     """smile that runs the phase II walk and ``_observe`` on every
     half-round, exhausted walk or not."""
-
-    name = "smile"
 
     def observe_boy_feedback(self, b, g, sign, t):
         self._observe(self.boys, self.girls, b, g, sign, t)
