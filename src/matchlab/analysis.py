@@ -139,7 +139,9 @@ def greedy_covering(matrix, radius: int, *, shuffle_seed: int | None = None) -> 
     coordinate-wise majority votes, columns re-assigned to the nearest
     center for a couple of rounds, and a greedy set cover picks the minimal
     subset of those balls; stragglers keep their own column as a center so
-    the result is always a valid covering.  ``shuffle_seed``
+    the result is always a valid covering.  When first fit leaves every
+    column alone, that refinement would keep every column as its own center
+    in first-fit order, so it is skipped.  ``shuffle_seed``
     randomizes the first-fit column order (planted-pattern comparisons use
     this to avoid generator-order artifacts).
     """
@@ -167,18 +169,24 @@ def greedy_covering(matrix, radius: int, *, shuffle_seed: int | None = None) -> 
             groups += 1
     del near
 
-    # a couple of Lloyd rounds with majority-vote centers
-    centers = _majority(cols, labels, groups)
-    for _ in range(2):
-        best, _ = _nearest(cols, centers)
-        keep, labels = np.unique(best, return_inverse=True)
-        centers = _majority(cols, labels.ravel(), len(keep))
+    if groups == nc:
+        # first fit left every column alone, so no two columns lie within
+        # the radius: the Lloyd rounds and the set cover would keep every
+        # column as its own center, in first-fit order
+        final = cols[order]
+    else:
+        # a couple of Lloyd rounds with majority-vote centers
+        centers = _majority(cols, labels, groups)
+        for _ in range(2):
+            best, _ = _nearest(cols, centers)
+            keep, labels = np.unique(best, return_inverse=True)
+            centers = _majority(cols, labels.ravel(), len(keep))
 
-    # greedy set cover over the refined balls; stragglers outside every
-    # refined ball fall back to their own column
-    chosen, stragglers = _set_cover(_within(centers, cols, reach))
-    final = np.concatenate([centers[chosen], cols[stragglers]])
-    del centers  # frees K x n_rows bools before the final scan
+        # greedy set cover over the refined balls; stragglers outside every
+        # refined ball fall back to their own column
+        chosen, stragglers = _set_cover(_within(centers, cols, reach))
+        final = np.concatenate([centers[chosen], cols[stragglers]])
+        del centers  # frees K x n_rows bools before the final scan
     assign, dist = _nearest(cols, final)
     far = np.flatnonzero(dist > radius)
     if len(far):

@@ -12,6 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .core import (
 from .datagen import ClusteredSpec, gen_adversarial_random, gen_block_lowerbound, gen_clustered, gen_random_bipartite
 from .errors import InputError, InternalCheckError, MatchlabError
 from .ingest import binarize, densify, parse_ratings
-from .omniscient import ArrivalCounts, arrival_counts, optimal_matches
+from .omniscient import arrival_counts, optimal_matches
 from .policies import POLICIES, make_policy
 from .protocol import RoundTrace, run_protocol
 
@@ -180,14 +181,19 @@ class RunRecord:
 def cmd_run(config: ExperimentConfig) -> int:
     """Run every policy on every seed and write the run directory.
 
-    One run is held at a time: each is reduced to a ``RunRecord`` as soon
-    as it ends, and with ``save_traces`` its trace file is written then, so
-    peak memory does not grow with the number of seeds.  M*_T of a seed
-    comes from the arrival counts of the first policy's run of it (the
-    arrivals of a seed are the same under every policy) and is solved
-    after that run is released; every run is checked against it as it
-    finishes.
+    The (policy, seed) jobs run in forked worker processes, one per usable
+    CPU (no more than there are jobs), and their records come back in job
+    order, so every output, the dominance check and the first error raised
+    are the same whatever the number of CPUs.  Each worker holds one run at
+    a time and the parent only the runs' ``RunRecord``s; summed over the
+    processes, memory is one run per worker.  M*_T of a seed is solved in
+    the worker of the first policy's job for it (the arrivals of a seed
+    are the same under every policy), and every run is checked against it
+    as its record arrives.  Leaving the pool's ``with`` block, on success
+    or on an error, terminates and reaps every worker.
     """
+    import multiprocessing  # kept out of the other commands' start-up
+
     prefs = read_instance(config.instance)
     n = prefs.n
     if config.T < 1:
@@ -201,13 +207,17 @@ def cmd_run(config: ExperimentConfig) -> int:
     if config.save_traces:
         (out / "traces").mkdir(exist_ok=True)
 
+    jobs = [(pol_name, seed) for pol_name in config.policies for seed in config.seeds]
     results: dict[str, list[RunRecord]] = {p: [] for p in config.policies}
     mstar: dict[int, int] = {}
-    for pol_name in config.policies:
-        for seed in config.seeds:
-            rec, counts = _run_one(config, prefs, pol_name, seed)
-            if counts is not None:
-                mstar[seed] = optimal_matches(mg, counts)
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    sys.stdout.flush()  # a forked worker would write out the parent's buffered text again
+    sys.stderr.flush()
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_start_worker, initargs=(config, prefs, mg)) as pool:
+        for (pol_name, seed), (rec, seed_mstar) in zip(jobs, pool.imap(_run_one, jobs)):
+            if seed_mstar is not None:
+                mstar[seed] = seed_mstar
             if rec.matches > mstar[seed]:
                 raise InternalCheckError(
                     f"dominance violated: {pol_name} seed {seed} uncovered "
@@ -220,7 +230,7 @@ def cmd_run(config: ExperimentConfig) -> int:
     _write_auc(out / "auc.csv", config, results)
     _write_yardstick(out / "yardstick.csv", config, results, mstar, mg)
     _write_stats(out / "stats.csv", config, results, prefs)
-    if config.save_runs or (len(config.policies) * len(config.seeds)) <= 4:
+    if config.save_runs or len(jobs) <= 4:
         rdir = out / "runs"
         rdir.mkdir(exist_ok=True)
         for pol_name, records in results.items():
@@ -230,19 +240,33 @@ def cmd_run(config: ExperimentConfig) -> int:
     return 0
 
 
-def _run_one(config, prefs, pol_name, seed) -> tuple[RunRecord, ArrivalCounts | None]:
-    """One run, its trace saved if asked, reduced to its record; with the
-    run's arrival counts if it is the first policy's.
+_worker_state = None  # (config, prefs, mg) in a run's worker processes
 
-    The run's trace and ledger die when this returns.
+
+def _start_worker(config, prefs, mg) -> None:
+    global _worker_state
+    _worker_state = config, prefs, mg
+
+
+def _run_one(job) -> tuple[RunRecord, int | None]:
+    """One (policy, seed) job in a worker: the run, its trace saved if
+    asked, reduced to its record; with M*_T of the seed if the policy is
+    the first one.
+
+    The run and its policy are released before the flow is solved, so a
+    worker holds one run at a time.
     """
+    config, prefs, mg = _worker_state
+    pol_name, seed = job
     policy = make_policy(pol_name, **config.policy_params.get(pol_name, {}))
     run = run_protocol(prefs, policy, config.T, seed, config.curve_stride)
     if config.save_traces:
         write_trace(config.out / "traces" / f"{pol_name}-{seed}.trace.csv", run.trace)
     counts = arrival_counts(run.trace) if pol_name == config.policies[0] else None
     led = run.ledger
-    return RunRecord(seed, run.T, led.curve, led.auc_sum, led.matches, policy.diagnostics()), counts
+    rec = RunRecord(seed, run.T, led.curve, led.auc_sum, led.matches, policy.diagnostics())
+    del run, led, policy
+    return rec, None if counts is None else optimal_matches(mg, counts)
 
 
 def _recorded_ts(T, stride):
@@ -271,13 +295,12 @@ def _write_curves(path, config, results):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+AUC_METRICS = ("auc_mean", "auc_std", "final_mean", "final_std")
+STATS_HEADER = ("policy", "seed", "final_matches", "auc", "c_g", "c_b", "bound_ok")
+
+
 def _write_auc(path, config, results):
-    rows = {
-        "auc_mean": [],
-        "auc_std": [],
-        "final_mean": [],
-        "final_std": [],
-    }
+    rows = {metric: [] for metric in AUC_METRICS}
     for pol in config.policies:
         aucs = np.array([r.auc_sum / r.T for r in results[pol]])
         finals = np.array([r.matches for r in results[pol]], dtype=float)
@@ -300,7 +323,7 @@ def _write_yardstick(path, config, results, mstar, mg):
 
 
 def _write_stats(path, config, results, prefs):
-    lines = ["policy,seed,final_matches,auc,c_g,c_b,bound_ok"]
+    lines = [",".join(STATS_HEADER)]
     bound_cache: dict[int, tuple[int, int]] = {}
     for pol in config.policies:
         for rec in results[pol]:
@@ -455,9 +478,10 @@ def cmd_gen(args) -> int:
 
 def cmd_cover(args) -> int:
     prefs = read_instance(args.instance)
-    radii = (
-        [int(r) for r in args.radii.split(",")] if args.radii else table_radii(prefs.n)
-    )
+    if args.radii:
+        radii = [_number("cover", "--radii", r) for r in args.radii.split(",")]
+    else:
+        radii = table_radii(prefs.n)
     lines = ["radius,boys_cover,girls_cover"]
     for rho in radii:
         cb = boy_side_covering(prefs, rho, shuffle_seed=args.seed).size
@@ -506,6 +530,31 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+BOUND_STATUS = {"1": "ok", "0": "EXCEEDED", "": "n/a"}
+
+
+def _run_table(path, header, keys) -> list[list[str]]:
+    """The rows of a run table, split into fields.
+
+    The header must be ``header``, every row as wide as it, and row i must
+    start with the fields ``keys[i]``, one row per key and no more.
+    Anything else is an InputError naming the file and the line.
+    """
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != ",".join(header):
+        raise InputError(f"{path}:1: expected the header {','.join(header)!r}")
+    rows = [line.split(",") for line in lines[1:]]
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise InputError(f"{path}:{i}: expected {len(header)} fields, got {len(row)}")
+    for i, key in enumerate(keys, start=2):
+        if i - 2 >= len(rows) or rows[i - 2][: len(key)] != key:
+            raise InputError(f"{path}:{i}: expected a row starting {','.join(key)!r}")
+    if len(rows) > len(keys):
+        raise InputError(f"{path}:{len(keys) + 2}: expected no more rows")
+    return rows
+
+
 def cmd_report(args) -> int:
     rd = Path(args.run_dir)
     for name in ("manifest.txt", "auc.csv", "yardstick.csv", "stats.csv"):
@@ -514,27 +563,35 @@ def cmd_report(args) -> int:
     manifest = dict(
         line.split("=", 1) for line in (rd / "manifest.txt").read_text().splitlines() if "=" in line
     )
-    auc_lines = (rd / "auc.csv").read_text().splitlines()
-    policies = auc_lines[0].split(",")[1:]
-    metrics = {row.split(",")[0]: row.split(",")[1:] for row in auc_lines[1:]}
-    ys = [line.split(",") for line in (rd / "yardstick.csv").read_text().splitlines()[1:]]
-    mstars = [int(row[1]) for row in ys]
-    total_matches = int(manifest.get("matches", "0"))
+    for key in ("policies", "seeds"):
+        if key not in manifest:
+            raise InputError(f"{rd / 'manifest.txt'}: no {key}= line")
+    policies, seeds = manifest["policies"].split(","), manifest["seeds"].split(",")
+    total_matches = _number(rd / "manifest.txt", "matches", manifest.get("matches", "0"))
+    auc_path, ys_path, stats_path = rd / "auc.csv", rd / "yardstick.csv", rd / "stats.csv"
+    auc_rows = _run_table(auc_path, ["metric", *policies], [[m] for m in AUC_METRICS])
+    metrics = {
+        row[0]: [_number(f"{auc_path}:{i}", row[0], v, float) for v in row[1:]]
+        for i, row in enumerate(auc_rows, start=2)
+    }
+    ys_header = ["seed", "m_star", *(f"{p}_final" for p in policies)]
+    ys = _run_table(ys_path, ys_header, [[s] for s in seeds])
+    mstars = [_number(f"{ys_path}:{i}", "m_star", row[1]) for i, row in enumerate(ys, start=2)]
+    stats = _run_table(stats_path, STATS_HEADER, [[p, s] for p in policies for s in seeds])
 
     print(f"run {rd}: instance {manifest.get('instance')} n={manifest.get('n')} "
           f"M={total_matches} T={manifest.get('T')} seeds={manifest.get('seeds')}")
     print(f"mean M*_T over seeds: {sum(mstars) / len(mstars):.1f}")
     for i, pol in enumerate(policies):
-        final = float(metrics["final_mean"][i])
-        auc = float(metrics["auc_mean"][i])
+        final = metrics["final_mean"][i]
+        auc = metrics["auc_mean"][i]
         frac = final / total_matches if total_matches else float("nan")
         print(f"  {pol}: final={final:.1f} ({frac:.1%} of M) auc={auc:.1f}")
-    stats_lines = (rd / "stats.csv").read_text().splitlines()[1:]
-    for line in stats_lines:
-        pol, seed, final, auc, c_g, c_b, bound_ok = line.split(",")
+    for i, (pol, seed, final, auc, c_g, c_b, bound_ok) in enumerate(stats, start=2):
         if c_g:
-            status = {"1": "ok", "0": "EXCEEDED", "": "n/a"}[bound_ok]
-            print(f"  {pol} seed {seed}: C^G={c_g} C^B={c_b} representative bound: {status}")
+            if bound_ok not in BOUND_STATUS:
+                raise InputError(f"{stats_path}:{i}: bound_ok must be 1, 0 or empty, got {bound_ok!r}")
+            print(f"  {pol} seed {seed}: C^G={c_g} C^B={c_b} representative bound: {BOUND_STATUS[bound_ok]}")
     return 0
 
 

@@ -159,6 +159,25 @@ def test_covering_matches_loop_oracle_paper_instance():
             assert _same_covering(got, greedy_covering_loop(m, radius, shuffle_seed=0))
 
 
+@pytest.mark.parametrize("shuffle_seed", [None, 0, 7])
+@pytest.mark.parametrize("radius", [0, 3])
+def test_all_singleton_covering_matches_loop_oracle(radius, shuffle_seed, monkeypatch):
+    # first fit leaves every column alone, so the refinement is skipped: the
+    # covering must still be the loop's, centers in first-fit order included
+    m = philox(5, 17).random((30, 16)) < 0.5
+    cols = rows_to_masks(m.T)
+    assert min((a ^ b).bit_count() for i, a in enumerate(cols) for b in cols[:i]) > radius
+
+    def refined(*args):
+        raise AssertionError("the refinement ran on an all-singleton first fit")
+
+    monkeypatch.setattr(analysis, "_majority", refined)
+    monkeypatch.setattr(analysis, "_set_cover", refined)
+    got = greedy_covering(m, radius, shuffle_seed=shuffle_seed)
+    assert got.size == 16
+    assert _same_covering(got, greedy_covering_loop(m, radius, shuffle_seed=shuffle_seed))
+
+
 def test_cluster_bound_flags_reasonably():
     spec = ClusteredSpec(n=100, c_b=5, c_g=5, flip=0.0, seed=7)
     prefs = gen_clustered(spec)

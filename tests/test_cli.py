@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +212,8 @@ def test_internal_check_maps_to_exit_3(tmp_path, monkeypatch, capsys):
 def test_dominance_violation_in_run_exits_3(tmp_path, monkeypatch, capsys):
     # the real check inside cmd_run, not a stand-in: with M*_T forced to 0
     # the first run that uncovers a match must stop the command
+    import multiprocessing
+
     import matchlab.cli as cli
 
     inst = tmp_path / "i.txt"
@@ -222,13 +225,19 @@ def test_dominance_violation_in_run_exits_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "dominance violated: uromm seed 0" in err and err.count("\n") == 1
     assert not (out / "curves.csv").exists()
+    assert not multiprocessing.active_children()  # the workers are reaped on the way out
 
 
 def test_run_releases_each_run_before_the_next(tmp_path, monkeypatch):
-    # cmd_run reduces a run as soon as it ends: no trace column or ledger of
-    # an earlier run may still be alive when the next run starts
+    # a worker reduces a run as soon as it ends: no trace column or ledger of
+    # an earlier run may still be alive when the worker's next run starts.
+    # The check runs inside the workers, where a failed assertion fails the
+    # command; each run leaves a marker file, named by its worker's pid and
+    # the number of objects that worker has tracked, for the test to count.
     import dataclasses
+    import os
     import weakref
+    from collections import defaultdict
 
     import matchlab.cli as cli
 
@@ -237,7 +246,9 @@ def test_run_releases_each_run_before_the_next(tmp_path, monkeypatch):
     out = tmp_path / "o"
     cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm,oomm", T=200, seeds=3,
                        out=out, save_traces=1)
-    refs = []
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    refs = []  # each worker tracks into its own copy
 
     def tracking_run_protocol(*args, **kw):
         alive = [r for r in refs if r() is not None]
@@ -245,12 +256,122 @@ def test_run_releases_each_run_before_the_next(tmp_path, monkeypatch):
         run = run_protocol(*args, **kw)
         refs.extend(weakref.ref(getattr(run.trace, f.name)) for f in dataclasses.fields(run.trace))
         refs.append(weakref.ref(run.ledger))
+        (markers / f"{os.getpid()}-{len(refs)}").touch()
         return run
 
     monkeypatch.setattr(cli, "run_protocol", tracking_run_protocol)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two workers, six runs
     assert cli.main(["run", str(cfg)]) == 0
-    assert len(refs) == 2 * 3 * 7
+    tracked = defaultdict(list)
+    for marker in markers.iterdir():
+        pid, count = marker.name.split("-")
+        tracked[pid].append(int(count))
+    assert sorted(len(counts) for counts in tracked.values())[-1] > 1  # a worker ran several runs
+    for counts in tracked.values():
+        assert sorted(counts) == [7 * k for k in range(1, len(counts) + 1)]  # 6 columns, 1 ledger
+    assert sum(len(counts) for counts in tracked.values()) == 2 * 3
     assert len(list((out / "traces").iterdir())) == 6
+
+
+ALL = "uromm,oomm,smile,ismile"
+
+
+def _run_files(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_run_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    # one worker per usable CPU, no more than there are jobs; every file the
+    # run writes is the same with one worker and with four
+    import os
+    import shutil
+
+    import matchlab.cli as cli
+
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "clustered", "--n", 30, "--c-b", 3, "--c-g", 3, "--seed", 4, "--out", inst)
+    started = tmp_path / "started"
+    start_worker = cli._start_worker
+
+    def marking_start_worker(*args):
+        (started / str(os.getpid())).touch()
+        start_worker(*args)
+
+    monkeypatch.setattr(cli, "_start_worker", marking_start_worker)
+    files = {}
+    for cpus, policies, seeds, workers in ((1, ALL, 3, 1), (4, ALL, 3, 4), (4, "uromm", 2, 2)):
+        started.mkdir()
+        out = tmp_path / f"o-{cpus}-{policies}"
+        cfg = write_config(tmp_path / "cfg", instance=inst, policies=policies, T=900, seeds=seeds,
+                           out=out, curve_stride=7, save_traces=1, save_runs=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert cli.main(["run", str(cfg)]) == 0
+        assert len(list(started.iterdir())) == workers
+        files[cpus, policies] = _run_files(out)
+        shutil.rmtree(started)
+    assert len(files[1, ALL]) == 5 + 12 + 12  # tables and manifest, runs, traces
+    assert files[1, ALL] == files[4, ALL]
+def test_run_leaves_no_worker_processes(tmp_path):
+    import multiprocessing
+
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm,oomm", T=100, seeds=3,
+                       out=tmp_path / "o")
+    assert run_cli("run", cfg) == 0
+    assert not multiprocessing.active_children()
+
+
+def test_trace_path_taken_by_a_directory_exits_2_with_one_line(tmp_path, capsys):
+    # the worker's IsADirectoryError reaches main with its file name
+    import multiprocessing
+
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm,oomm", T=100, seeds=3,
+                       out=out, save_traces=1)
+    blocked = out / "traces" / "oomm-1.trace.csv"
+    blocked.mkdir(parents=True)
+    capsys.readouterr()
+    assert run_cli("run", cfg) == 2
+    assert capsys.readouterr().err == f"error: {blocked}: Is a directory\n"
+    assert not (out / "curves.csv").exists()
+    assert not multiprocessing.active_children()
+
+
+def test_other_commands_do_not_import_the_pool(tmp_path):
+    # only run pays for the process pool's import
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import matchlab
+
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm", T=100, seeds=1,
+                       out=out, save_traces=1)
+    assert run_cli("run", cfg) == 0
+    commands = [
+        ["gen", "adversarial", "--n", "10", "--m", "20", "--out", str(tmp_path / "j.txt")],
+        ["cover", str(inst)],
+        ["report", str(out)],
+        ["yardstick", str(inst), str(out / "traces" / "uromm-0.trace.csv")],
+    ]
+    code = (
+        "import json, sys\n"
+        "from matchlab.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'multiprocessing.pool' not in sys.modules, argv\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(matchlab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize(
@@ -441,3 +562,34 @@ def test_yardstick_malformed_trace_exits_2_with_one_line(tmp_path, capsys, bad):
     assert run_cli("yardstick", inst, tpath) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(tpath) in err
+
+
+@pytest.mark.parametrize("damage", ["short stats row", "yardstick header only", "auc header only"])
+def test_report_of_a_damaged_table_exits_2_with_one_line(tmp_path, capsys, damage):
+    # these escaped as ValueError, ZeroDivisionError and KeyError tracebacks
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm", T=100, seeds=2, out=out)
+    assert run_cli("run", cfg) == 0
+    name, where = {
+        "short stats row": ("stats.csv", ":4: expected 7 fields, got 3"),
+        "yardstick header only": ("yardstick.csv", ":2: expected a row starting '0'"),
+        "auc header only": ("auc.csv", ":2: expected a row starting 'auc_mean'"),
+    }[damage]
+    path = out / name
+    if damage == "short stats row":
+        path.write_text(path.read_text() + "uromm,0,5\n")
+    else:
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert run_cli("report", out) == 2
+    assert capsys.readouterr().err == f"error: {path}{where}\n"
+
+
+def test_cover_radii_not_integers_exits_2_with_one_line(tmp_path, capsys):
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    capsys.readouterr()
+    assert run_cli("cover", inst, "--radii", "a,b") == 2
+    assert capsys.readouterr().err == "error: cover: --radii must be an integer, got 'a'\n"

@@ -4,7 +4,8 @@ Each case generates an n = 50 instance through ``matchlab gen``, runs all
 four policies for T = 2 n^2 rounds on three seeds through ``matchlab run``,
 and compares the run's CSV tables, a SHA-256 of the instance and of every
 saved trace (so every selection is pinned), and each run's
-``diagnostics()`` with the files under ``tests/golden/<case>/``.  Criterion
+``diagnostics()``, as its ``RunRecord`` brings it back from the worker
+process that ran it, with the files under ``tests/golden/<case>/``.  Criterion
 11 only compares two runs of the same code; this fixture shows that a
 change of the code changed no output.
 
@@ -81,15 +82,14 @@ def run_case(case: str, work: Path, monkeypatch) -> dict[str, str]:
     cfg = work / "run.cfg"
     cfg.write_text("\n".join(lines) + "\n")
 
-    made = []
+    received = {}
 
-    def recording_make_policy(name, **params):
-        policy = make_policy(name, **params)
-        made.append(policy)
-        return policy
+    def recording_write_stats(path, config, results, prefs):
+        received.update(results)  # the RunRecords the parent read back from its workers
+        return write_stats(path, config, results, prefs)
 
-    make_policy = cli.make_policy
-    monkeypatch.setattr(cli, "make_policy", recording_make_policy)
+    write_stats = cli._write_stats
+    monkeypatch.setattr(cli, "_write_stats", recording_write_stats)
     assert cli.main(["run", str(cfg)]) == 0
 
     files = {name: (out / name).read_text() for name in TABLES}
@@ -99,15 +99,12 @@ def run_case(case: str, work: Path, monkeypatch) -> dict[str, str]:
             name = f"{pol}-{seed}.trace.csv"
             hashes.append(f"{_sha256(out / 'traces' / name)}  {name}")
     files["sha256sums.txt"] = "\n".join(hashes) + "\n"
-    jobs = [(pol, seed) for pol in POLICIES for seed in SEEDS]
-    assert len(made) == len(jobs)
+    assert all([rec.seed for rec in received[pol]] == list(SEEDS) for pol in POLICIES)
     files["diagnostics.txt"] = "".join(
-        f"{pol},{seed},{json.dumps(policy.diagnostics())}\n"
-        for (pol, seed), policy in zip(jobs, made)
+        f"{pol},{rec.seed},{json.dumps(rec.diagnostics)}\n" for pol in POLICIES for rec in received[pol]
     )
-    for (pol, seed), policy in zip(jobs, made):
-        if pol == "smile":
-            assert policy.diagnostics()["phase"] == "user_matching", (case, seed)
+    for rec in received["smile"]:
+        assert rec.diagnostics["phase"] == "user_matching", (case, rec.seed)
     return files
 
 
