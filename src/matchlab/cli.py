@@ -579,19 +579,22 @@ def cmd_report(args) -> int:
     mstars = [_number(f"{ys_path}:{i}", "m_star", row[1]) for i, row in enumerate(ys, start=2)]
     stats = _run_table(stats_path, STATS_HEADER, [[p, s] for p in policies for s in seeds])
 
-    print(f"run {rd}: instance {manifest.get('instance')} n={manifest.get('n')} "
-          f"M={total_matches} T={manifest.get('T')} seeds={manifest.get('seeds')}")
-    print(f"mean M*_T over seeds: {sum(mstars) / len(mstars):.1f}")
+    lines = [
+        f"run {rd}: instance {manifest.get('instance')} n={manifest.get('n')} "
+        f"M={total_matches} T={manifest.get('T')} seeds={manifest.get('seeds')}",
+        f"mean M*_T over seeds: {sum(mstars) / len(mstars):.1f}",
+    ]
     for i, pol in enumerate(policies):
         final = metrics["final_mean"][i]
         auc = metrics["auc_mean"][i]
         frac = final / total_matches if total_matches else float("nan")
-        print(f"  {pol}: final={final:.1f} ({frac:.1%} of M) auc={auc:.1f}")
+        lines.append(f"  {pol}: final={final:.1f} ({frac:.1%} of M) auc={auc:.1f}")
     for i, (pol, seed, final, auc, c_g, c_b, bound_ok) in enumerate(stats, start=2):
         if c_g:
             if bound_ok not in BOUND_STATUS:
                 raise InputError(f"{stats_path}:{i}: bound_ok must be 1, 0 or empty, got {bound_ok!r}")
-            print(f"  {pol} seed {seed}: C^G={c_g} C^B={c_b} representative bound: {BOUND_STATUS[bound_ok]}")
+            lines.append(f"  {pol} seed {seed}: C^G={c_g} C^B={c_b} representative bound: {BOUND_STATUS[bound_ok]}")
+    print("\n".join(lines))
     return 0
 
 

@@ -564,27 +564,37 @@ def test_yardstick_malformed_trace_exits_2_with_one_line(tmp_path, capsys, bad):
     assert err.startswith("error: ") and err.count("\n") == 1 and str(tpath) in err
 
 
-@pytest.mark.parametrize("damage", ["short stats row", "yardstick header only", "auc header only"])
+@pytest.mark.parametrize(
+    "damage", ["short stats row", "yardstick header only", "auc cut", "bad bound_ok"]
+)
 def test_report_of_a_damaged_table_exits_2_with_one_line(tmp_path, capsys, damage):
-    # these escaped as ValueError, ZeroDivisionError and KeyError tracebacks
+    # the first three escaped as ValueError, ZeroDivisionError and KeyError
+    # tracebacks; nothing of the summary is printed before the error
     inst = tmp_path / "i.txt"
     run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
     out = tmp_path / "o"
-    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm", T=100, seeds=2, out=out)
+    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm,ismile", T=100, seeds=2, out=out)
     assert run_cli("run", cfg) == 0
     name, where = {
-        "short stats row": ("stats.csv", ":4: expected 7 fields, got 3"),
+        "short stats row": ("stats.csv", ":6: expected 7 fields, got 3"),
         "yardstick header only": ("yardstick.csv", ":2: expected a row starting '0'"),
-        "auc header only": ("auc.csv", ":2: expected a row starting 'auc_mean'"),
+        "auc cut": ("auc.csv", ":1: expected the header 'metric,uromm,ismile'"),
+        "bad bound_ok": ("stats.csv", ":4: bound_ok must be 1, 0 or empty, got 'x'"),
     }[damage]
     path = out / name
+    lines = path.read_text().splitlines()
     if damage == "short stats row":
-        path.write_text(path.read_text() + "uromm,0,5\n")
+        lines.append("uromm,0,5")
+    elif damage == "auc cut":
+        lines = ["metric,uromm"]
+    elif damage == "bad bound_ok":
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",x"
     else:
-        path.write_text(path.read_text().splitlines()[0] + "\n")
+        lines = lines[:1]
+    path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run_cli("report", out) == 2
-    assert capsys.readouterr().err == f"error: {path}{where}\n"
+    assert capsys.readouterr() == ("", f"error: {path}{where}\n")
 
 
 def test_cover_radii_not_integers_exits_2_with_one_line(tmp_path, capsys):
