@@ -7,6 +7,19 @@ Subcommands: ``gen`` (instances), ``ingest`` (real ratings), ``cover``
 Exit codes: 0 success, 2 input error, 3 internal assertion failure.  Output
 files are plain text and CSV only; a rerun with an identical config is
 byte-identical.
+
+At the top this module imports only the standard library, ``errors`` and
+``__version__``; each command imports what it runs inside its function, so
+a short command does not pay for the others' start-up:
+
+- ``report`` loads no numpy and no other matchlab module;
+- ``gen`` loads ``datagen`` and ``core``;
+- ``cover`` loads ``analysis`` and ``core``;
+- ``ingest`` loads ``ingest`` and ``core``;
+- ``yardstick`` loads ``omniscient``, ``core`` and, for the trace's
+  columns, ``protocol`` with the policies it imports;
+- ``run`` loads the engine, the policies, ``omniscient``, ``analysis``
+  and the process pool.
 """
 
 from __future__ import annotations
@@ -17,25 +30,16 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analysis import boy_side_covering, cluster_bound, girl_side_covering, table_radii
-from .core import (
-    PreferenceMatrices,
-    build_matching_graph,
-    delta_overload,
-    masks_to_rows,
-    read_instance,
-    write_instance,
-)
-from .datagen import ClusteredSpec, gen_adversarial_random, gen_block_lowerbound, gen_clustered, gen_random_bipartite
 from .errors import InputError, InternalCheckError, MatchlabError
-from .ingest import binarize, densify, parse_ratings
-from .omniscient import arrival_counts, optimal_matches
-from .policies import POLICIES, make_policy
-from .protocol import RoundTrace, run_protocol
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .core import PreferenceMatrices
+    from .protocol import RoundTrace
 
 POLICY_PARAM_TYPES = {
     "smile": {"S": int, "gamma": float, "tolerance": float},
@@ -90,6 +94,8 @@ def parse_config(path) -> ExperimentConfig:
     ``policies.smile.check_params``), or a policy or seed listed twice is an
     ``InputError``.
     """
+    from .policies import POLICIES
+
     kv: dict[str, str] = {}
     policy_params: dict[str, dict] = {}
     seen: set[str] = set()
@@ -189,10 +195,21 @@ def cmd_run(config: ExperimentConfig) -> int:
     processes, memory is one run per worker.  M*_T of a seed is solved in
     the worker of the first policy's job for it (the arrivals of a seed
     are the same under every policy), and every run is checked against it
-    as its record arrives.  Leaving the pool's ``with`` block, on success
-    or on an error, terminates and reaps every worker.
+    as its record arrives.
+
+    The pool is shut down on every exit, and always through
+    ``shutdown(wait=True, cancel_futures=True)``: on an error the jobs
+    still waiting are cancelled (those already handed to the workers run
+    to their end), and every worker is reaped before ``main`` returns.  A
+    worker that dies (killed by a signal or by the kernel's out-of-memory
+    killer) breaks the pool; that is an exit 3.
     """
-    import multiprocessing  # kept out of the other commands' start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    from . import omniscient, protocol  # noqa: F401  (loaded once, before the workers fork)
+    from .core import build_matching_graph, read_instance
 
     prefs = read_instance(config.instance)
     n = prefs.n
@@ -213,9 +230,10 @@ def cmd_run(config: ExperimentConfig) -> int:
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
     sys.stdout.flush()  # a forked worker would write out the parent's buffered text again
     sys.stderr.flush()
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_start_worker, initargs=(config, prefs, mg)) as pool:
-        for (pol_name, seed), (rec, seed_mstar) in zip(jobs, pool.imap(_run_one, jobs)):
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(config, prefs, mg))
+    try:
+        for (pol_name, seed), (rec, seed_mstar) in zip(jobs, pool.map(_run_one, jobs)):
             if seed_mstar is not None:
                 mstar[seed] = seed_mstar
             if rec.matches > mstar[seed]:
@@ -224,6 +242,10 @@ def cmd_run(config: ExperimentConfig) -> int:
                     f"{rec.matches} > M*_T = {mstar[seed]}"
                 )
             results[pol_name].append(rec)
+    except BrokenProcessPool:
+        raise InternalCheckError("a run worker died before its job finished") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
     _write_manifest(out / "manifest.txt", config, prefs, mg)
     _write_curves(out / "curves.csv", config, results)
@@ -254,8 +276,14 @@ def _run_one(job) -> tuple[RunRecord, int | None]:
     the first one.
 
     The run and its policy are released before the flow is solved, so a
-    worker holds one run at a time.
+    worker holds one run at a time.  The names are looked up in the
+    worker, after the fork, so a patch of ``matchlab.protocol`` or
+    ``matchlab.omniscient`` made before ``cmd_run`` reaches them.
     """
+    from .omniscient import arrival_counts, optimal_matches
+    from .policies import make_policy
+    from .protocol import run_protocol
+
     config, prefs, mg = _worker_state
     pol_name, seed = job
     policy = make_policy(pol_name, **config.policy_params.get(pol_name, {}))
@@ -284,6 +312,8 @@ def _write_run_csv(path, rec, stride):
 
 
 def _write_curves(path, config, results):
+    import numpy as np
+
     ts = _recorded_ts(config.T, config.curve_stride)
     cols = []
     for pol in config.policies:
@@ -300,6 +330,8 @@ STATS_HEADER = ("policy", "seed", "final_matches", "auc", "c_g", "c_b", "bound_o
 
 
 def _write_auc(path, config, results):
+    import numpy as np
+
     rows = {metric: [] for metric in AUC_METRICS}
     for pol in config.policies:
         aucs = np.array([r.auc_sum / r.T for r in results[pol]])
@@ -323,6 +355,8 @@ def _write_yardstick(path, config, results, mstar, mg):
 
 
 def _write_stats(path, config, results, prefs):
+    from .analysis import cluster_bound
+
     lines = [",".join(STATS_HEADER)]
     bound_cache: dict[int, tuple[int, int]] = {}
     for pol in config.policies:
@@ -383,6 +417,10 @@ def write_trace(path, trace: RoundTrace) -> None:
 
 def read_trace(path) -> RoundTrace:
     """Parse a trace file; a malformed one raises InputError."""
+    import numpy as np
+
+    from .protocol import RoundTrace
+
     with open(path) as f:
         if f.readline().rstrip("\r\n") != TRACE_HEADER:
             raise InputError(f"{path}: not a trace file")
@@ -425,6 +463,10 @@ def _check_trace(trace: RoundTrace, prefs: PreferenceMatrices, path) -> None:
     A trace scored against the instance it was not recorded on fails here,
     at its first round that disagrees.
     """
+    import numpy as np
+
+    from .core import masks_to_rows
+
     n = prefs.n
     b, g1, g, b1 = trace.boy_arrivals, trace.girls_selected, trace.girl_arrivals, trace.boys_selected
     bad = np.flatnonzero(np.logical_or.reduce([(c < 0) | (c >= n) for c in (b, g1, g, b1)]))
@@ -441,6 +483,11 @@ def _check_trace(trace: RoundTrace, prefs: PreferenceMatrices, path) -> None:
 
 
 def cmd_gen(args) -> int:
+    from .core import write_instance
+    from .datagen import (
+        ClusteredSpec, gen_adversarial_random, gen_block_lowerbound, gen_clustered, gen_random_bipartite,
+    )
+
     seed = args.seed
     if args.kind == "clustered":
         spec = ClusteredSpec(
@@ -477,6 +524,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    from .analysis import boy_side_covering, girl_side_covering, table_radii
+    from .core import read_instance
+
     prefs = read_instance(args.instance)
     if args.radii:
         radii = [_number("cover", "--radii", r) for r in args.radii.split(",")]
@@ -495,6 +545,9 @@ def cmd_cover(args) -> int:
 
 
 def cmd_yardstick(args) -> int:
+    from .core import build_matching_graph, delta_overload, read_instance
+    from .omniscient import arrival_counts, optimal_matches
+
     prefs = read_instance(args.instance)
     trace = read_trace(args.trace)
     _check_trace(trace, prefs, args.trace)
@@ -508,6 +561,9 @@ def cmd_yardstick(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from .core import write_instance
+    from .ingest import binarize, densify, parse_ratings
+
     raw = parse_ratings(args.ratings, args.genders)
     if not raw.triples:
         raise InputError("no usable cross-gender ratings found")

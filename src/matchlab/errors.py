@@ -17,6 +17,10 @@ class ParseError(InputError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):  # pickled whole, as from a run worker to its parent
+        return type(self), (self.path, self.line_no, self.message)
 
 
 class ProtocolError(MatchlabError):

@@ -7,18 +7,22 @@ edges, each girl -> sink with capacity t(g).  The flow value is M*_T, the
 hard upper bound every policy run is checked against.
 
 The solver is a shortest-augmenting-path max flow (BFS level graph with
-blocking flows); integral capacities keep every unit arc at flow 0 or 1.
+blocking flows), started from a greedy flow; integral capacities keep every
+unit arc at flow 0 or 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import MatchingGraph
 from .errors import InputError
-from .protocol import RoundTrace
+
+if TYPE_CHECKING:
+    from .protocol import RoundTrace
 
 
 COUNT_BLOCK = 1 << 20
@@ -98,15 +102,18 @@ def build_flow_network(mg: MatchingGraph, counts: ArrivalCounts) -> FlowNetwork:
     girl_counts = _sized(counts.girl_counts, n, "girl")
     net = FlowNetwork(n)
     net.head = [[] for _ in range(2 * n + 2)]
-    s, t = net.source, net.sink
+    # one int object per node, shared by every arc that names it: 1.8 MB
+    # less than an object per arc end at n = 1000 and 60,000 unit arcs
+    node = list(range(2 * n + 2))
+    s, t = node[net.source], node[net.sink]
     for b in range(n):
         if boy_counts[b] > 0:
-            net.add_arc(s, b, boy_counts[b])
+            net.add_arc(s, node[b], boy_counts[b])
     for b, g in mg.edges():
-        net.unit_arcs.append(net.add_arc(b, n + g, 1))
+        net.unit_arcs.append(net.add_arc(node[b], node[n + g], 1))
     for g in range(n):
         if girl_counts[g] > 0:
-            net.add_arc(n + g, t, girl_counts[g])
+            net.add_arc(node[n + g], t, girl_counts[g])
     return net
 
 
@@ -117,12 +124,37 @@ def _sized(counts: tuple[int, ...], n: int, side: str) -> tuple[int, ...]:
     return counts[:n] + (0,) * (n - len(counts))
 
 
+def _greedy_flow(net: FlowNetwork) -> int:
+    """Push one unit along each unit arc, in arc order, whose boy's source
+    arc and girl's sink arc both still have capacity; return the units."""
+    to, cap = net.to, net.cap
+    end_arc = [-1] * len(net.head)  # each user's source or sink arc
+    for e in net.head[net.source]:
+        end_arc[to[e]] = e
+    for e in net.head[net.sink]:
+        end_arc[to[e]] = e ^ 1  # the head list holds the reverse arc
+    total = 0
+    for e in net.unit_arcs:
+        a, c = end_arc[to[e ^ 1]], end_arc[to[e]]
+        if a >= 0 and c >= 0 and cap[a] and cap[c]:
+            for x in (a, e, c):
+                cap[x] -= 1
+                cap[x ^ 1] += 1
+            total += 1
+    return total
+
+
 def max_flow(net: FlowNetwork) -> int:
-    """Dinic: BFS level phases, DFS blocking flow.  Mutates the network."""
+    """Dinic: BFS level phases, DFS blocking flow.  Mutates the network.
+
+    A greedy pass (``_greedy_flow``) starts the flow, so Dinic augments
+    only what the greedy pass left over; the value returned is the whole
+    flow.
+    """
     to, cap, head = net.to, net.cap, net.head
     s, t = net.source, net.sink
     nn = len(head)
-    total = 0
+    total = _greedy_flow(net)
     while True:
         level = [-1] * nn
         level[s] = 0

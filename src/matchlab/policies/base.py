@@ -2,10 +2,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..rng import SubstreamRng
-
 if TYPE_CHECKING:
     from ..protocol import FeedbackLedger
+    from ..rng import SubstreamRng
 
 
 class MatchmakerPolicy:

@@ -215,12 +215,14 @@ def test_dominance_violation_in_run_exits_3(tmp_path, monkeypatch, capsys):
     import multiprocessing
 
     import matchlab.cli as cli
+    import matchlab.omniscient
 
     inst = tmp_path / "i.txt"
     run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
     out = tmp_path / "o"
     cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm,oomm", T=200, seeds=2, out=out)
-    monkeypatch.setattr(cli, "optimal_matches", lambda mg, counts: 0)
+    # the worker imports optimal_matches after the fork, so it gets this stand-in
+    monkeypatch.setattr(matchlab.omniscient, "optimal_matches", lambda mg, counts: 0)
     assert cli.main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert "dominance violated: uromm seed 0" in err and err.count("\n") == 1
@@ -240,6 +242,7 @@ def test_run_releases_each_run_before_the_next(tmp_path, monkeypatch):
     from collections import defaultdict
 
     import matchlab.cli as cli
+    import matchlab.protocol
 
     inst = tmp_path / "i.txt"
     run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
@@ -259,7 +262,7 @@ def test_run_releases_each_run_before_the_next(tmp_path, monkeypatch):
         (markers / f"{os.getpid()}-{len(refs)}").touch()
         return run
 
-    monkeypatch.setattr(cli, "run_protocol", tracking_run_protocol)
+    monkeypatch.setattr(matchlab.protocol, "run_protocol", tracking_run_protocol)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two workers, six runs
     assert cli.main(["run", str(cfg)]) == 0
     tracked = defaultdict(list)
@@ -342,14 +345,22 @@ def test_trace_path_taken_by_a_directory_exits_2_with_one_line(tmp_path, capsys)
     assert not multiprocessing.active_children()
 
 
-def test_other_commands_do_not_import_the_pool(tmp_path):
-    # only run pays for the process pool's import
-    import json
+def _python(code, *args, **kw):
+    """Run ``code`` in a fresh interpreter that imports this checkout's matchlab."""
     import os
     import subprocess
     import sys
 
     import matchlab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(matchlab.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, **kw)
+
+
+def test_other_commands_do_not_import_the_pool(tmp_path):
+    # only run pays for the process pool's import
+    import json
 
     inst = tmp_path / "i.txt"
     run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
@@ -368,12 +379,138 @@ def test_other_commands_do_not_import_the_pool(tmp_path):
         "from matchlab.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert main(argv) == 0, argv\n"
-        "    assert 'multiprocessing.pool' not in sys.modules, argv\n"
+        "    for pool in ('multiprocessing.pool', 'concurrent.futures.process'):\n"
+        "        assert pool not in sys.modules, (argv, pool)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(matchlab.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
-                          capture_output=True, text=True)
+    done = _python(code, json.dumps(commands))
     assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """Tiny inputs for every command: an instance, a run directory with a trace, ratings."""
+    d = tmp_path_factory.mktemp("inputs")
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", d / "i.txt")
+    cfg = write_config(d / "cfg", instance=d / "i.txt", policies="uromm,ismile", T=100, seeds=1,
+                       out=d / "o", save_traces=1)
+    assert run_cli("run", cfg) == 0
+    (d / "g.csv").write_text("1,M\n2,M\n101,F\n102,F\n")
+    (d / "r.csv").write_text("1,101,9\n101,1,9\n2,102,9\n102,2,9\n1,102,9\n")
+    return d
+
+
+ENGINE_AND_POLICIES = ("matchlab.protocol", "matchlab.policies")
+COMMAND_LOADS = {  # command: (its arguments, modules it must not load)
+    "gen": (["gen", "adversarial", "--n", "10", "--m", "20", "--out", "{d}/j.txt"],
+            ("matchlab.analysis", *ENGINE_AND_POLICIES, "matchlab.omniscient", "matchlab.ingest")),
+    "cover": (["cover", "{d}/i.txt"],
+              (*ENGINE_AND_POLICIES, "matchlab.omniscient", "matchlab.datagen", "matchlab.ingest")),
+    "run": (["run", "{d}/cfg", "--out", "{d}/o2"], ("matchlab.datagen", "matchlab.ingest")),
+    "yardstick": (["yardstick", "{d}/i.txt", "{d}/o/traces/uromm-0.trace.csv"],
+                  ("matchlab.analysis", "matchlab.datagen", "matchlab.ingest")),
+    "ingest": (["ingest", "--ratings", "{d}/r.csv", "--genders", "{d}/g.csv", "--coeff", "1",
+                "--out", "{d}/k.txt", "--report", "{d}/k.report"],
+               ("matchlab.analysis", *ENGINE_AND_POLICIES, "matchlab.omniscient", "matchlab.datagen")),
+    "report": (["report", "{d}/o"], ("numpy",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_LOADS))
+def test_command_loads_only_its_modules(command_inputs, command):
+    # each command imports what it runs; report, the shortest, loads no numpy
+    # and no matchlab module besides cli and errors
+    import json
+
+    argv, banned = COMMAND_LOADS[command]
+    code = (
+        "import json, sys\n"
+        "from matchlab.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    done = _python(code, json.dumps([a.format(d=command_inputs) for a in argv]))
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert not {m for m in loaded for b in banned if m == b or m.startswith(b + ".")}
+    if command == "report":
+        assert {m for m in loaded if m.startswith("matchlab")} == {"matchlab", "matchlab.cli", "matchlab.errors"}
+
+
+def test_import_matchlab_loads_no_submodule():
+    # the public names load on first use; a submodule name still imports it
+    code = (
+        "import sys\n"
+        "import matchlab\n"
+        "assert sorted(m for m in sys.modules if m.startswith('matchlab')) == ['matchlab']\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert matchlab.gen_clustered.__module__ == 'matchlab.datagen'\n"
+        "assert 'matchlab.analysis' not in sys.modules\n"
+        "from matchlab import analysis, core\n"
+        "assert analysis.greedy_covering is matchlab.greedy_covering\n"
+        "assert not hasattr(matchlab, 'no_such_name')\n"
+    )
+    done = _python(code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_worker_that_dies_exits_3_and_leaves_no_process(tmp_path):
+    # a killed worker (a signal, the out-of-memory killer) breaks the pool:
+    # run must neither wait forever nor leave a worker behind
+    import os
+    import signal
+    import subprocess
+
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm,oomm", T=100, seeds=3, out=out)
+    started = tmp_path / "started"
+    started.mkdir()
+    code = (
+        "import multiprocessing, os, sys\n"
+        "from pathlib import Path\n"
+        "import matchlab.cli as cli\n"
+        "run_one, start_worker = cli._run_one, cli._start_worker\n"
+        "def dying_run_one(job):\n"
+        "    if job == ('oomm', 1):\n"
+        "        os._exit(9)\n"
+        "    return run_one(job)\n"
+        "def marking_start_worker(*args):\n"
+        "    (Path(sys.argv[2]) / str(os.getpid())).touch()\n"
+        "    start_worker(*args)\n"
+        "cli._run_one, cli._start_worker = dying_run_one, marking_start_worker\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "rc = cli.main(['run', sys.argv[1]])\n"
+        "assert not multiprocessing.active_children()\n"
+        "for pid in map(int, os.listdir(sys.argv[2])):\n"
+        "    try:\n"
+        "        os.kill(pid, 0)\n"
+        "    except ProcessLookupError:\n"
+        "        continue\n"
+        "    raise AssertionError(f'worker {pid} outlived the command')\n"
+        "sys.exit(rc)\n"
+    )
+    try:
+        done = _python(code, cfg, started, timeout=60, start_new_session=True)
+    except subprocess.TimeoutExpired:
+        for pid in map(int, os.listdir(started)):
+            os.kill(pid, signal.SIGKILL)
+        pytest.fail("run still waiting 60 s after a worker died")
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "internal check failed: a run worker died before its job finished\n"
+    assert len(os.listdir(started)) == 2
+    assert not (out / "curves.csv").exists()
+
+
+def test_parse_error_survives_pickling():
+    # a worker's error reaches the parent pickled
+    import pickle
+
+    from matchlab.errors import ParseError
+
+    e = pickle.loads(pickle.dumps(ParseError(Path("p.csv"), 3, "bad row")))
+    assert type(e) is ParseError
+    assert (str(e), e.path, e.line_no) == ("p.csv:3: bad row", "p.csv", 3)
 
 
 @pytest.mark.parametrize(

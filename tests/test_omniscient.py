@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchlab import (
     ArrivalCounts,
@@ -13,7 +15,8 @@ from matchlab import (
     tiny_demo_instance,
 )
 from matchlab import omniscient
-from matchlab.omniscient import arrival_counts, build_flow_network, max_flow
+from matchlab.core import MatchingGraph
+from matchlab.omniscient import _greedy_flow, arrival_counts, build_flow_network, max_flow
 from matchlab.rng import philox
 
 from oracles import brute_force_bmatching
@@ -28,8 +31,6 @@ def random_graph(n, p, seed):
     g = philox(seed, 55)
     adj = g.random((n, n)) < p
     rows = tuple(sum(1 << j for j in range(n) if adj[i, j]) for i in range(n))
-    from matchlab.core import MatchingGraph
-
     edges = [tuple(e) for e in np.argwhere(adj).tolist()]
     return MatchingGraph(n, rows, sum(r.bit_count() for r in rows)), edges
 
@@ -86,6 +87,32 @@ def test_flow_equals_brute_force_small():
         counts = ArrivalCounts(tuple(tb), tuple(tg))
         flow = optimal_matches(mg, counts)
         assert flow == brute_force_bmatching(edges, tb, tg)
+
+
+def _tally(users):
+    """Arrival counts up to the largest user who arrived, as ``arrival_counts`` gives them."""
+    return tuple(users.count(u) for u in range(max(users, default=-1) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n),
+)))
+def test_warm_started_flow_equals_brute_force(case):
+    # the greedy start and Dinic together give the maximum; zero counts,
+    # users who never arrive and an empty trace all occur
+    n, adj, rounds = case
+    tb, tg = _tally([b for b, _ in rounds]), _tally([g for _, g in rounds])
+    rows = tuple(sum(1 << j for j in range(n) if adj[i][j]) for i in range(n))
+    mg = MatchingGraph(n, rows, sum(r.bit_count() for r in rows))
+    edges = [(i, j) for i in range(n) for j in range(n) if adj[i][j]]
+    best = brute_force_bmatching(edges, tb + (0,) * (n - len(tb)), tg + (0,) * (n - len(tg)))
+    net = build_flow_network(mg, ArrivalCounts(tb, tg))
+    assert _greedy_flow(build_flow_network(mg, ArrivalCounts(tb, tg))) <= best
+    assert max_flow(net) == best
+    assert sum(net.arc_flow(e) for e in net.unit_arcs) == best
 
 
 def test_monotone_in_capacity():
