@@ -17,7 +17,7 @@ a short command does not pay for the others' start-up:
 - ``cover`` loads ``analysis`` and ``core``;
 - ``ingest`` loads ``ingest`` and ``core``;
 - ``yardstick`` loads ``omniscient``, ``core`` and, for the trace's
-  columns, ``protocol`` with the policies it imports;
+  columns, ``protocol``, but no policy;
 - ``run`` loads the engine, the policies, ``omniscient``, ``analysis``
   and the process pool.
 """

@@ -7,9 +7,13 @@ its members receive: a cursor walks the shuffled user list, collects S'
 distinct signs for the current user, and either assigns them to the first
 representative whose observed feedback agrees on all common raters or,
 failing that, keeps collecting until ceil(n/2) distinct signs and promotes
-them to representative.  Phase II serves each arrival the next counterpart
-estimated mutual from representative feedback, through a compact
-cluster-grid index with forward-only pointers.
+them to representative.  When S' > ceil(n/2) no user reaches S' signs before
+ceil(n/2), so phase I promotes every user and C = n: at n = 400 this is the
+case whenever S clamps to floor(n / ln n) = 66 (S' = 212 > 200).  Phase II
+serves each arrival the next counterpart estimated mutual from
+representative feedback, through a C^B x C^G cluster grid with
+forward-only pointers.  Every cell no user fills is one shared empty tuple,
+so the grid costs one pointer per cell plus the users it stores.
 
 The algorithm is written once for both sides.  Each side is a ``SmileSide``:
 its users' revealed rows (the engine ledger's), their ``SideClusters`` (fed
@@ -80,7 +84,8 @@ class SmileSide(PolicySide):
     Phase 0 delegates to the baseline's methods for this side.  The cluster
     grid of phase II is split between the two sides: ``cells[i][j]`` is the
     ascending list of this side's cluster-i users who liked the
-    representative of the other side's cluster j, and ``rep_order[i]``
+    representative of the other side's cluster j (the shared empty tuple
+    when there are none), and ``rep_order[i]``
     represents this side's cluster i.  A pair is an estimated match iff
     each user is on the other's cell: x in ``cells[i][j]`` and y in the
     other side's ``cells[j][i]``.  ``ptr_cell``/``ptr_off`` only move
@@ -94,7 +99,7 @@ class SmileSide(PolicySide):
         self.p0_select = self.p0_observe = None
         self.a: list[int] = []  # user -> cluster id (rank of its representative)
         self.rep_order: list[int] = []
-        self.cells: list[list[list[int]]] = []
+        self.cells: list[list[list[int] | tuple[()]]] = []
         self.ptr_cell = [-1] * n
         self.ptr_off = [0] * n
 
@@ -117,9 +122,10 @@ def build_matching_index(boys: SmileSide, girls: SmileSide, n: int) -> int:
         rank_of_cid = [rank[r] for r in cl.reps]
         side.a = [rank_of_cid[cl.cid_of[u]] for u in range(n)]
         ops += n
-    # one read per (user, opposite-side representative)
+    # one read per (user, opposite-side representative); a cell stays the
+    # shared empty tuple until its first user makes it a list
     for side, other in ((boys, girls), (girls, boys)):
-        side.cells = [[[] for _ in other.rep_order] for _ in side.rep_order]
+        cells = side.cells = [[()] * len(other.rep_order) for _ in side.rep_order]
         a = side.a
         for j, r in enumerate(other.rep_order):
             ops += n
@@ -127,7 +133,11 @@ def build_matching_index(boys: SmileSide, girls: SmileSide, n: int) -> int:
             while m:
                 low = m & -m
                 x = low.bit_length() - 1
-                side.cells[a[x]][j].append(x)
+                row = cells[a[x]]
+                if row[j]:
+                    row[j].append(x)
+                else:
+                    row[j] = [x]
                 m ^= low
     return ops
 

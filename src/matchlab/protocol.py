@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import PreferenceMatrices
 from .errors import InputError, ProtocolError
-from .policies.base import MatchmakerPolicy
 from .rng import STREAM_POLICY, SubstreamRng, draw_arrivals
 
 
@@ -118,6 +117,9 @@ def run_protocol(
         raise InputError(f"T must be >= 1, got {T}")
     if curve_stride < 1:
         raise InputError("curve_stride must be >= 1")
+
+    # imported here, so reading a trace (``RoundTrace``) loads no policy
+    from .policies.base import MatchmakerPolicy
 
     boy_arr, girl_arr = draw_arrivals(n, T, seed)
     ledger = FeedbackLedger(n)

@@ -157,6 +157,23 @@ def reveal(policy, ledger, boy_side, x, y, sign, t=1):
     observe(x, y, sign, t)
 
 
+def randint_by_division(rng, k):
+    """``SubstreamRng.randint`` with the rejection limit floor(2^64 / k) * k
+    computed by a division on every call, on ``rng``'s own buffer."""
+    if k <= 0:
+        raise ValueError(f"randint needs k >= 1, got {k}")
+    buf = rng._buf
+    lim = ((1 << 64) // k) * k
+    while True:
+        if not buf:
+            rng._buf = buf = rng._gen.integers(
+                0, 1 << 64, size=rng._block, dtype="uint64"
+            ).tolist()
+        v = buf.pop()
+        if v < lim:
+            return v % k
+
+
 class ScriptedRng:
     """Feeds a fixed sequence of values to policy randint calls."""
 

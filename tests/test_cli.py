@@ -407,7 +407,7 @@ COMMAND_LOADS = {  # command: (its arguments, modules it must not load)
               (*ENGINE_AND_POLICIES, "matchlab.omniscient", "matchlab.datagen", "matchlab.ingest")),
     "run": (["run", "{d}/cfg", "--out", "{d}/o2"], ("matchlab.datagen", "matchlab.ingest")),
     "yardstick": (["yardstick", "{d}/i.txt", "{d}/o/traces/uromm-0.trace.csv"],
-                  ("matchlab.analysis", "matchlab.datagen", "matchlab.ingest")),
+                  ("matchlab.analysis", "matchlab.policies", "matchlab.datagen", "matchlab.ingest")),
     "ingest": (["ingest", "--ratings", "{d}/r.csv", "--genders", "{d}/g.csv", "--coeff", "1",
                 "--out", "{d}/k.txt", "--report", "{d}/k.report"],
                ("matchlab.analysis", *ENGINE_AND_POLICIES, "matchlab.omniscient", "matchlab.datagen")),

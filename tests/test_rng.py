@@ -1,6 +1,7 @@
 import numpy as np
 
 from matchlab.rng import STREAM_ARRIVALS, STREAM_POLICY, SubstreamRng, draw_arrivals, philox
+from oracles import randint_by_division
 
 
 def test_substream_determinism():
@@ -36,6 +37,21 @@ def test_randint_range_and_uniformity():
     exp = 20000 / 7
     sd = (20000 * (1 / 7) * (6 / 7)) ** 0.5
     assert all(abs(c - exp) < 5 * sd for c in counts)
+
+
+def test_randint_matches_the_division_oracle():
+    # Same values and same words consumed, for k of every bit length and at
+    # the edges; 2^64 - 1 and 2^63 + 1 take the exact-limit branch on almost
+    # every draw, and 2^63 + 1 rejects about half of the words.
+    edges = [1, 2, 3, 2**63, 2**63 + 1, 2**64 - 1, 2**64]
+    gen = philox(4, 9)
+    bits = gen.integers(1, 65, size=20000).tolist()
+    words = gen.integers(0, 1 << 64, size=20000, dtype=np.uint64).tolist()
+    ks = [max(1, w >> (64 - b)) for b, w in zip(bits, words)] + edges * 300
+    fast = SubstreamRng(8, STREAM_POLICY, block=64)
+    slow = SubstreamRng(8, STREAM_POLICY, block=64)
+    assert [fast.randint(k) for k in ks] == [randint_by_division(slow, k) for k in ks]
+    assert fast._buf == slow._buf
 
 
 def test_shuffle_is_permutation():

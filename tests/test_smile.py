@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -297,8 +299,42 @@ def test_build_ops_linear_in_population_and_clusters():
     for i in range(c_b):
         for j in range(c_g):
             lb = boys.cells[i][j]
-            assert lb == sorted(lb)
+            assert list(lb) == sorted(lb)
             assert all(boys.a[b] == i for b in lb)
+
+
+def test_grid_memory_is_pointers_plus_entries():
+    # S = 20 gives S' = 80 > ceil(100/2) = 50, so phase I promotes every user
+    # and the grid has C^B x C^G = 100 x 100 cells per side, almost all empty
+    n = 100
+    prefs = gen_clustered(ClusteredSpec(n=n, c_b=5, c_g=5, seed=3))
+    policy, _ = run_smile(prefs, 20000, seed=1, S=20)
+    assert policy.phase == PHASE_MATCH and policy.S_prime == 80
+    boys, girls = policy.boys, policy.girls
+    assert len(boys.clusters.reps) == len(girls.clusters.reps) == n
+
+    tracemalloc.start()
+    build_matching_index(boys, girls, n)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+
+    rows = [row for side in (boys, girls) for row in side.cells]
+    cells = [cell for row in rows for cell in row]
+    empty = [cell for cell in cells if not cell]
+    filled = [cell for cell in cells if cell]
+    assert len(cells) == 2 * n * n
+    assert empty[0] == () and all(cell is empty[0] for cell in empty)
+    assert all(type(cell) is list and len(cell) == 1 for cell in filled)
+    assert len({id(cell) for cell in filled}) == len(filled)
+    # The bound: one 8-byte pointer per cell and a list header per row; each
+    # filled cell of a singleton grid holds one user, a list of one item
+    # (getsizeof([0]) bytes); 256 bytes per user and side cover ``a``,
+    # ``rep_order``, the rank maps and the sort keys.  That is about 0.4 MB
+    # here; a grid that gave each of its ~17,000 empty cells its own empty
+    # list (56 bytes) would spend about 1 MB on those alone.
+    bound = (8 * len(cells) + sys.getsizeof([]) * len(rows)
+             + sys.getsizeof([0]) * len(filled) + 256 * 2 * n)
+    assert peak < bound
 
 
 def test_phase2_work_bound():
