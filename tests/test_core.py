@@ -154,3 +154,46 @@ def test_rejects_malformed():
     arr = np.zeros((2, 3), dtype=bool)
     with pytest.raises(InputError):
         PreferenceMatrices.from_bool_arrays(arr, arr)
+
+
+# the parse errors of read_instance, pinned line by line
+GOOD = "3\n010\n110\n001\n\n100\n011\n111\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "empty instance file"),
+    ("x\n", 1, "expected population size, got 'x'"),
+    ("0\n", 1, "population size must be >= 1, got 0"),
+    ("3\n010\n110\n001\n\n100\n", 6, "expected 8 lines for n=3"),
+    ("3\n010\n11\n001\n\n100\n011\n111\n", 3, "boys_like: need 3 chars of 0/1"),
+    ("3\n010\n110\n0011\n\n100\n011\n111\n", 4, "boys_like: need 3 chars of 0/1"),
+    ("3\n010\n110\n001\n\n100\n021\n111\n", 7, "girls_like: need 3 chars of 0/1"),
+    ("3\n010\n110\n001\n\n100\n011\n1 1\n", 8, "girls_like: need 3 chars of 0/1"),
+    ("3\n010\n110\n001\n000\n100\n011\n111\n", 5, "expected blank separator line"),
+    ("3\n010\n110\n001\n100\n011\n111\n000\n000\n", 5, "expected blank separator line"),
+])
+def test_read_instance_errors(tmp_path, text, line, message):
+    from matchlab.errors import ParseError
+
+    path = tmp_path / "i.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as e:
+        read_instance(path)
+    assert (e.value.line_no, e.value.message) == (line, message)
+    assert str(e.value) == f"{path}:{line}: {message}"
+
+
+def test_read_instance_first_bad_row_wins(tmp_path):
+    # a short row after a bad character: the error names the earlier line
+    path = tmp_path / "i.txt"
+    path.write_text("3\n010\n1a0\n00\n\n100\n011\n111\n")
+    with pytest.raises(InputError, match=r":3: boys_like"):
+        read_instance(path)
+
+
+def test_read_instance_accepts_crlf_and_padding(tmp_path):
+    want = PreferenceMatrices(3, (0b010, 0b011, 0b100), (0b001, 0b110, 0b111))
+    for text in (GOOD, GOOD.replace("\n", "\r\n"), " 3 \n010 \n\t110\n001\n  \n100\n011\n111\nextra\n"):
+        path = tmp_path / "i.txt"
+        path.write_bytes(text.encode())
+        assert read_instance(path) == want
