@@ -132,6 +132,8 @@ def delta_overload(mg: MatchingGraph, T: int) -> Fraction:
 # blank line
 # n lines: girls_like
 
+ROW_BLOCK = 64  # instance rows parsed per numpy pass
+
 
 def write_instance(prefs: PreferenceMatrices, path) -> None:
     n = prefs.n
@@ -144,27 +146,36 @@ def write_instance(prefs: PreferenceMatrices, path) -> None:
 
 
 def read_instance(path) -> PreferenceMatrices:
+    """Parse an instance file.  Lines end at \n, \r\n or \r, and each line
+    is stripped of ASCII whitespace.  A side's rows are checked and packed
+    in numpy: one n x n byte array per side, no Python object per bit."""
     path = Path(path)
-    raw = path.read_text().splitlines()
+    raw = path.read_bytes().splitlines()
     if not raw:
         raise ParseError(path, 1, "empty instance file")
+    first = raw[0].decode(errors="replace")
     try:
-        n = int(raw[0].strip())
+        n = int(first.strip())
     except ValueError:
-        raise ParseError(path, 1, f"expected population size, got {raw[0]!r}") from None
+        raise ParseError(path, 1, f"expected population size, got {first!r}") from None
     if n < 1:
         raise ParseError(path, 1, f"population size must be >= 1, got {n}")
     if len(raw) < 2 * n + 2:
         raise ParseError(path, len(raw), f"expected {2 * n + 2} lines for n={n}")
 
     def parse_block(start, what):
-        rows = []
-        for i in range(n):
-            line = raw[start + i].strip()
-            if len(line) != n or set(line) - {"0", "1"}:
-                raise ParseError(path, start + i + 1, f"{what}: need {n} chars of 0/1")
-            rows.append(int(line[::-1], 2))
-        return tuple(rows)
+        masks = []
+        for i in range(start, start + n, ROW_BLOCK):  # a block of rows at a time keeps the heap small
+            lines = [line.strip() for line in raw[i : min(i + ROW_BLOCK, start + n)]]
+            # a fixed-width array pads short lines with NUL and cuts long
+            # ones, so the lengths are checked apart from the characters
+            bits = np.array(lines, dtype=f"S{n}").view(np.uint8).reshape(len(lines), n)
+            bits -= ord("0")  # in place: "0" -> 0, "1" -> 1, anything else > 1
+            bad = (np.fromiter(map(len, lines), dtype=np.intp) != n) | (bits.max(axis=1) > 1)
+            if bad.any():
+                raise ParseError(path, i + int(bad.argmax()) + 1, f"{what}: need {n} chars of 0/1")
+            masks += rows_to_masks(bits.view(bool))
+        return tuple(masks)
 
     boys = parse_block(1, "boys_like")
     if raw[n + 1].strip():
