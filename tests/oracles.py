@@ -79,6 +79,90 @@ def brute_force_bmatching(edges, boy_caps, girl_caps):
     return best
 
 
+def dinic_on_lists(mg, counts):
+    """M*_T by the earlier solver: the network in Python lists (one head
+    list per node), a greedy start in arc order, then Dinic with a Python
+    BFS per level graph and a DFS blocking flow."""
+    n = mg.n
+    boy_counts = counts.boy_counts + (0,) * (n - len(counts.boy_counts))
+    girl_counts = counts.girl_counts + (0,) * (n - len(counts.girl_counts))
+    s, t = 2 * n, 2 * n + 1
+    to, cap, head, unit_arcs = [], [], [[] for _ in range(2 * n + 2)], []
+
+    def add_arc(u, v, c):
+        head[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        head[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+        return len(to) - 2
+
+    for b in range(n):
+        if boy_counts[b] > 0:
+            add_arc(s, b, boy_counts[b])
+    for b, g in mg.edges():
+        unit_arcs.append(add_arc(b, n + g, 1))
+    for g in range(n):
+        if girl_counts[g] > 0:
+            add_arc(n + g, t, girl_counts[g])
+
+    end_arc = [-1] * len(head)  # each user's source or sink arc
+    for e in head[s]:
+        end_arc[to[e]] = e
+    for e in head[t]:
+        end_arc[to[e]] = e ^ 1  # the head list holds the reverse arc
+    total = 0
+    for e in unit_arcs:
+        a, c = end_arc[to[e ^ 1]], end_arc[to[e]]
+        if a >= 0 and c >= 0 and cap[a] and cap[c]:
+            for x in (a, e, c):
+                cap[x] -= 1
+                cap[x ^ 1] += 1
+            total += 1
+
+    while True:
+        level = [-1] * len(head)
+        level[s] = 0
+        q = [s]
+        for u in q:
+            for e in head[u]:
+                if cap[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    q.append(to[e])
+        if level[t] < 0:
+            return total
+        it = [0] * len(head)
+        stack, arcs = [s], []
+        while stack:
+            u = stack[-1]
+            if u == t:
+                aug = min(cap[e] for e in arcs)
+                total += aug
+                cut = 0
+                for i, e in enumerate(arcs):
+                    cap[e] -= aug
+                    cap[e ^ 1] += aug
+                    if cap[e] == 0 and cut == 0:
+                        cut = i + 1  # retreat to the tail of the first saturated arc
+                del stack[cut:]
+                del arcs[cut - 1 :]
+                continue
+            while it[u] < len(head[u]):
+                e = head[u][it[u]]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    stack.append(to[e])
+                    arcs.append(e)
+                    break
+                it[u] += 1
+            else:
+                level[u] = -1
+                stack.pop()
+                if arcs:
+                    arcs.pop()
+                    it[stack[-1]] += 1
+
+
 def exact_column_cover(column_masks, radius):
     """Minimum number of columns whose radius-balls cover all columns."""
     from itertools import combinations

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from matchlab import (
     ArrivalCounts,
+    ClusteredSpec,
     InputError,
     build_matching_graph,
     delta_overload,
+    gen_adversarial_random,
+    gen_clustered,
     gen_random_bipartite,
     make_policy,
     optimal_matches,
@@ -17,9 +20,9 @@ from matchlab import (
 from matchlab import omniscient
 from matchlab.core import MatchingGraph
 from matchlab.omniscient import _greedy_flow, arrival_counts, build_flow_network, max_flow
-from matchlab.rng import philox
+from matchlab.rng import draw_arrivals, philox
 
-from oracles import brute_force_bmatching
+from oracles import brute_force_bmatching, dinic_on_lists
 
 
 def counts_all(n, k):
@@ -113,6 +116,58 @@ def test_warm_started_flow_equals_brute_force(case):
     assert _greedy_flow(build_flow_network(mg, ArrivalCounts(tb, tg))) <= best
     assert max_flow(net) == best
     assert sum(net.arc_flow(e) for e in net.unit_arcs) == best
+
+
+def _arrivals(n, T, seed, boys=None, girls=None):
+    """Counts of T uniform arrivals over the first ``boys`` boys and ``girls``
+    girls (all n by default), tallied up to the largest user who arrived."""
+    g = philox(seed, 57)
+    tally = lambda k: tuple(np.bincount(g.integers(0, k or n, T)).tolist())  # noqa: E731
+    return ArrivalCounts(tally(boys), tally(girls))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    p=st.sampled_from([0.0, 0.05, 0.2, 0.6, 1.0]),
+    T=st.one_of(st.integers(0, 6), st.integers(0, 4000)),
+    reach=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flow_equals_list_oracle(n, p, T, reach, seed):
+    # the array network, its degree-ordered greedy start and the numpy
+    # BFS give the value of the earlier solver on lists; zero counts,
+    # users who never arrive (the counts end before n), T << n and T >> n
+    mg, _ = random_graph(n, p, seed)
+    counts = _arrivals(n, T, seed, min(reach[0], n), min(reach[1], n))
+    assert optimal_matches(mg, counts) == dinic_on_lists(mg, counts)
+
+
+@pytest.mark.parametrize("n, make", [
+    (400, lambda: gen_clustered(ClusteredSpec(n=400, c_b=20, c_g=22, seed=0))),
+    (400, lambda: gen_adversarial_random(400, 4000, 1)),
+    (1000, lambda: gen_clustered(ClusteredSpec(n=1000, c_b=20, c_g=22, seed=1))),
+], ids=["clustered-n400", "adversarial-n400", "clustered-n1000"])
+def test_flow_equals_list_oracle_at_benchmark_scale(n, make):
+    mg = build_matching_graph(make())
+    for T in (1, 7, n // 3, n, 5 * n, 50 * n):
+        boys, girls = draw_arrivals(n, T, seed=T)
+        counts = ArrivalCounts(*(tuple(np.bincount(side, minlength=n).tolist()) for side in (boys, girls)))
+        net = build_flow_network(mg, counts)
+        value = max_flow(net)
+        assert value == dinic_on_lists(mg, counts), T
+        assert sum(net.arc_flow(e) for e in net.unit_arcs) == value
+        assert len(net.unit_arcs) == mg.match_count
+
+
+def test_greedy_start_takes_least_contested_arcs_first():
+    # boy 0 likes girls 0 and 1, boy 1 only girl 0, one arrival each: in arc
+    # order the greedy pass would give girl 0 to boy 0 and stop at 1; arc
+    # (0, 1) has the lower excess degree, goes first, and both boys match
+    mg = MatchingGraph(2, (0b11, 0b01), 3)
+    counts = ArrivalCounts((1, 1), (1, 1))
+    assert _greedy_flow(build_flow_network(mg, counts)) == 2
+    assert dinic_on_lists(mg, counts) == optimal_matches(mg, counts) == 2
 
 
 def test_monotone_in_capacity():
