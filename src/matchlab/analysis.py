@@ -216,15 +216,17 @@ def table_radii(n: int) -> list[int]:
 def cluster_bound(prefs: PreferenceMatrices, side: str, s_prime: int) -> int:
     """Upper-bound expression min(min_rho(C_{rho/2} + 3 rho S'), n) with greedy covers.
 
-    Greedy covering sizes over-estimate the true covering numbers, so this
-    is a weaker (always valid) form of the representative-count bound; a
-    policy's representative count exceeding it is flagged, not fatal.
-    Radii sharing a half-radius share one covering, and the scan stops
-    before a covering once the linear term alone reaches the minimum.
+    C_0 is exact: a radius-0 ball holds only equal columns, so C_0 is the
+    number of distinct columns, counted without a covering.  For half-radii
+    above 0, greedy covering sizes over-estimate the true covering numbers,
+    so this is a weaker (always valid) form of the representative-count
+    bound; a policy's representative count exceeding it is flagged, not
+    fatal.  Radii sharing a half-radius share one covering, and the scan
+    stops before a covering once the linear term alone reaches the minimum.
     """
     n = prefs.n
     matrix = masks_to_rows(prefs.boys_like if side == "girl" else prefs.girls_like, n)
-    sizes: dict[int, int] = {}
+    sizes = {0: len(set(rows_to_masks(matrix.T)))}  # C_0: the distinct columns
     best = n
     rho = 0
     while rho <= n and 3 * rho * s_prime < best:

@@ -198,9 +198,42 @@ def test_cluster_bound_matches_loop_oracle(n, flip):
             assert cluster_bound(prefs, side, s_prime) == cluster_bound_loop(prefs, side, s_prime)
 
 
-def test_cluster_bound_one_covering_per_side(monkeypatch):
-    # the paper-scale instance at ismile's S' = 86: rho = 0 and 1 share the
-    # half-radius-0 covering and rho = 2 already has 3 rho S' > n
+def _duplicated_columns(n, distinct, seed):
+    """Instance whose two matrices repeat ``distinct`` random columns."""
+    g = philox(seed, 23)
+    sides = [(g.random((n, distinct)) < 0.5)[:, g.integers(0, distinct, n)] for _ in range(2)]
+    return PreferenceMatrices.from_bool_arrays(*sides)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.integers(0, 10_000))
+def test_c0_is_the_distinct_column_count(shape, seed):
+    # S' = n stops the scan after half-radius 0, so the bound is C_0 itself:
+    # the radius-0 covering's size and the count of distinct columns
+    n, distinct = shape
+    prefs = _duplicated_columns(n, distinct, seed)
+    for side, cover, matrix in (("girl", girl_side_covering, prefs.boys_like),
+                                ("boy", boy_side_covering, prefs.girls_like)):
+        columns = {tuple((row >> j) & 1 for row in matrix) for j in range(n)}
+        assert cluster_bound(prefs, side, n) == cover(prefs, 0).size == len(columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.integers(1, 3), st.integers(0, 10_000))
+def test_cluster_bound_matches_loop_oracle_on_duplicated_columns(shape, s_prime, seed):
+    # a small S' scans half-radii above 0 as well
+    n, distinct = shape
+    prefs = _duplicated_columns(n, distinct, seed)
+    for side in ("girl", "boy"):
+        assert cluster_bound(prefs, side, s_prime) == cluster_bound_loop(prefs, side, s_prime)
+
+
+def test_cluster_bound_needs_no_covering_at_half_radius_0(monkeypatch):
+    # the paper-scale instance at ismile's S' = 86: rho = 0 and 1 share
+    # half-radius 0, whose C_0 is the distinct-column count, and rho = 2
+    # already has 3 rho S' > n; the loop oracle still covers at 0, 0 and 1
     import matchlab.analysis as analysis
 
     prefs = gen_clustered(ClusteredSpec(n=400, c_b=20, c_g=22, seed=0))
@@ -215,7 +248,7 @@ def test_cluster_bound_one_covering_per_side(monkeypatch):
     for side in ("girl", "boy"):
         calls.clear()
         assert cluster_bound(prefs, side, 86) == 400
-        assert calls == [0]
+        assert calls == []
         calls.clear()
         assert cluster_bound_loop(prefs, side, 86) == 400
         assert calls == [0, 0, 1]
