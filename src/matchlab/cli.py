@@ -199,11 +199,18 @@ def cmd_run(config: ExperimentConfig) -> int:
 
     The pool is shut down on every exit, and always through
     ``shutdown(wait=True, cancel_futures=True)``: on an error the jobs
-    still waiting are cancelled (those already handed to the workers run
-    to their end), and every worker is reaped before ``main`` returns.  A
-    worker that dies (killed by a signal or by the kernel's out-of-memory
-    killer) breaks the pool; that is an exit 3.
+    still waiting are cancelled, and every worker is reaped before ``main``
+    returns.  The executor hands a job to its call queue before a worker
+    takes it, and ``cancel_futures`` cannot reach the jobs there; so the
+    parent first sets ``stop``, a byte of shared memory the workers
+    inherit, and a job that finds it set returns at once.  Only the jobs
+    already running when the error arrives run to their end.  The byte
+    takes no lock (a ``multiprocessing.Event`` does), so a worker killed
+    in mid-check cannot leave the parent waiting.  A worker that dies
+    (killed by a signal or by the kernel's out-of-memory killer) breaks the
+    pool; that is an exit 3.
     """
+    import mmap
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -230,8 +237,9 @@ def cmd_run(config: ExperimentConfig) -> int:
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
     sys.stdout.flush()  # a forked worker would write out the parent's buffered text again
     sys.stderr.flush()
+    stop = mmap.mmap(-1, 1)  # anonymous and shared: the forked workers see the parent's writes
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(config, prefs, mg))
+                               initializer=_start_worker, initargs=(config, prefs, mg, stop))
     try:
         for (pol_name, seed), (rec, seed_mstar) in zip(jobs, pool.map(_run_one, jobs)):
             if seed_mstar is not None:
@@ -245,7 +253,9 @@ def cmd_run(config: ExperimentConfig) -> int:
     except BrokenProcessPool:
         raise InternalCheckError("a run worker died before its job finished") from None
     finally:
+        stop[0] = 1
         pool.shutdown(wait=True, cancel_futures=True)
+        stop.close()
 
     _write_manifest(out / "manifest.txt", config, prefs, mg)
     _write_curves(out / "curves.csv", config, results)
@@ -262,18 +272,19 @@ def cmd_run(config: ExperimentConfig) -> int:
     return 0
 
 
-_worker_state = None  # (config, prefs, mg) in a run's worker processes
+_worker_state = None  # (config, prefs, mg, stop) in a run's worker processes
 
 
-def _start_worker(config, prefs, mg) -> None:
+def _start_worker(config, prefs, mg, stop) -> None:
     global _worker_state
-    _worker_state = config, prefs, mg
+    _worker_state = config, prefs, mg, stop
 
 
-def _run_one(job) -> tuple[RunRecord, int | None]:
+def _run_one(job) -> tuple[RunRecord, int | None] | None:
     """One (policy, seed) job in a worker: the run, its trace saved if
     asked, reduced to its record; with M*_T of the seed if the policy is
-    the first one.
+    the first one.  None, without a run, once the parent has set ``stop``
+    (it then reads no more results).
 
     The run and its policy are released before the flow is solved, so a
     worker holds one run at a time.  The names are looked up in the
@@ -284,7 +295,9 @@ def _run_one(job) -> tuple[RunRecord, int | None]:
     from .policies import make_policy
     from .protocol import run_protocol
 
-    config, prefs, mg = _worker_state
+    config, prefs, mg, stop = _worker_state
+    if stop[0]:
+        return None
     pol_name, seed = job
     policy = make_policy(pol_name, **config.policy_params.get(pol_name, {}))
     run = run_protocol(prefs, policy, config.T, seed, config.curve_stride)

@@ -230,6 +230,39 @@ def test_dominance_violation_in_run_exits_3(tmp_path, monkeypatch, capsys):
     assert not multiprocessing.active_children()  # the workers are reaped on the way out
 
 
+def test_run_starts_no_job_after_an_error(tmp_path, monkeypatch, capsys):
+    # the first job's record breaks the dominance check; the jobs the
+    # executor had already queued for the workers must not start a run.
+    # Each run leaves a marker file; every run but the first sleeps, so the
+    # other worker is still in its first job when the error arrives.
+    import os
+    import time
+
+    import matchlab.cli as cli
+    import matchlab.omniscient
+    import matchlab.protocol
+
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "adversarial", "--n", 10, "--m", 20, "--seed", 0, "--out", inst)
+    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm,oomm", T=200, seeds=6,
+                       out=tmp_path / "o")
+    markers = tmp_path / "markers"
+    markers.mkdir()
+
+    def marking_run_protocol(prefs, policy, T, seed, *args):
+        (markers / f"{policy.name}-{seed}").touch()
+        if (policy.name, seed) != ("uromm", 0):
+            time.sleep(0.3)
+        return run_protocol(prefs, policy, T, seed, *args)
+
+    monkeypatch.setattr(matchlab.omniscient, "optimal_matches", lambda mg, counts: 0)
+    monkeypatch.setattr(matchlab.protocol, "run_protocol", marking_run_protocol)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two workers, twelve jobs
+    assert cli.main(["run", str(cfg)]) == 3
+    assert "dominance violated: uromm seed 0" in capsys.readouterr().err
+    assert len(list(markers.iterdir())) <= 2 + 1  # the two first jobs and one taken in the race
+
+
 def test_run_releases_each_run_before_the_next(tmp_path, monkeypatch):
     # a worker reduces a run as soon as it ends: no trace column or ledger of
     # an earlier run may still be alive when the worker's next run starts.
