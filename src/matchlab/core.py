@@ -146,9 +146,10 @@ def write_instance(prefs: PreferenceMatrices, path) -> None:
 
 
 def read_instance(path) -> PreferenceMatrices:
-    """Parse an instance file.  Lines end at \n, \r\n or \r, and each line
+    """Parse an instance file.  Lines end at LF, CRLF or CR, and each line
     is stripped of ASCII whitespace.  A side's rows are checked and packed
-    in numpy: one n x n byte array per side, no Python object per bit."""
+    in numpy, a block of ``ROW_BLOCK`` rows at a time, with no Python
+    object per bit."""
     path = Path(path)
     raw = path.read_bytes().splitlines()
     if not raw:

@@ -122,8 +122,8 @@ def _arrivals(n, T, seed, boys=None, girls=None):
     """Counts of T uniform arrivals over the first ``boys`` boys and ``girls``
     girls (all n by default), tallied up to the largest user who arrived."""
     g = philox(seed, 57)
-    tally = lambda k: tuple(np.bincount(g.integers(0, k or n, T)).tolist())  # noqa: E731
-    return ArrivalCounts(tally(boys), tally(girls))
+    boy_counts, girl_counts = (tuple(np.bincount(g.integers(0, k or n, T)).tolist()) for k in (boys, girls))
+    return ArrivalCounts(boy_counts, girl_counts)
 
 
 @settings(max_examples=200, deadline=None)
