@@ -18,8 +18,8 @@ a short command does not pay for the others' start-up:
 - ``ingest`` loads ``ingest`` and ``core``;
 - ``yardstick`` loads ``omniscient``, ``core`` and, for the trace's
   columns, ``protocol``, but no policy;
-- ``run`` loads the engine, the policies, ``omniscient``, ``analysis``
-  and the process pool.
+- ``run`` loads the engine, the policies, ``omniscient``, ``analysis``,
+  ``numpy.random`` and the process pool.
 """
 
 from __future__ import annotations
@@ -209,13 +209,24 @@ def cmd_run(config: ExperimentConfig) -> int:
     in mid-check cannot leave the parent waiting.  A worker that dies
     (killed by a signal or by the kernel's out-of-memory killer) breaks the
     pool; that is an exit 3.
+
+    The parent imports every module a job runs before the pool forks, so
+    the workers share its copy and load nothing themselves.  That includes
+    ``numpy.random``, which the engine's random streams use: it imports
+    ``secrets`` and with it ``hashlib`` and OpenSSL, and a worker that
+    imported it after the fork would hold several MB of its own
+    (libcrypto's pages and the heap its start-up fills).  It is loaded
+    here, not at the top of ``rng``, so ``yardstick``, which loads
+    ``protocol`` for the trace's columns, does not load OpenSSL.
     """
     import mmap
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    from . import omniscient, protocol  # noqa: F401  (loaded once, before the workers fork)
+    import numpy.random  # noqa: F401  (loaded once, before the workers fork)
+
+    from . import omniscient, protocol  # noqa: F401
     from .core import build_matching_graph, read_instance
 
     prefs = read_instance(config.instance)
@@ -310,15 +321,10 @@ def _run_one(job) -> tuple[RunRecord, int | None] | None:
     return rec, None if counts is None else optimal_matches(mg, counts)
 
 
-def _recorded_ts(T, stride):
-    ts = list(range(stride, T + 1, stride)) if stride > 1 else list(range(1, T + 1))
-    if stride > 1 and (not ts or ts[-1] != T):
-        ts.append(T)
-    return ts
-
-
 def _write_run_csv(path, rec, stride):
-    ts = _recorded_ts(rec.T, stride)
+    from .protocol import recorded_rounds
+
+    ts = recorded_rounds(rec.T, stride).tolist()
     lines = ["t,matches"]
     lines += [f"{t},{m}" for t, m in zip(ts, rec.curve.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -327,7 +333,9 @@ def _write_run_csv(path, rec, stride):
 def _write_curves(path, config, results):
     import numpy as np
 
-    ts = _recorded_ts(config.T, config.curve_stride)
+    from .protocol import recorded_rounds
+
+    ts = recorded_rounds(config.T, config.curve_stride).tolist()
     cols = []
     for pol in config.policies:
         curves = np.stack([r.curve for r in results[pol]])

@@ -5,8 +5,8 @@ mutual-like test for a whole row is one ``&`` and counting is one
 ``bit_count()``.  Bit ``j`` of ``boys_like[i]`` is boy i's sign for girl j
 (1 = like); bit ``j`` of ``girls_like[i]`` is girl i's sign for boy j.
 Only this module converts between rows and bits: other modules build
-instances from numpy bool matrices with ``from_bool_arrays``, read them
-back with ``masks_to_rows`` and walk matches with ``MatchingGraph.edges``.
+instances from numpy bool matrices with ``from_bool_arrays`` and read them
+back, matches included, with ``masks_to_rows``.
 (The engine, ledger and policies keep bitsets of what was revealed: they
 are the hot path.)
 """
@@ -88,14 +88,6 @@ class MatchingGraph:
     n: int
     boy_rows: tuple[int, ...]  # bit g of boy_rows[b]: (b, g) is a match
     match_count: int
-
-    def edges(self):
-        """The matches as (b, g) pairs, by boy and then by girl, ascending."""
-        for b, m in enumerate(self.boy_rows):
-            while m:
-                low = m & -m
-                yield b, low.bit_length() - 1
-                m ^= low
 
 
 def build_matching_graph(prefs: PreferenceMatrices) -> MatchingGraph:

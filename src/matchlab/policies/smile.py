@@ -237,7 +237,7 @@ class SmilePolicy(MatchmakerPolicy):
         self._p0_halfrounds += 1
         n = self.n
         # phase 0 starts at round 1, so the ledger's counts are its own
-        matches = len(self.ledger.uncovered)
+        matches = self.ledger.matches
         if matches >= self._p0_k0 or self._p0_halfrounds >= 2 * n * n:
             self.phase0_rounds = (self._p0_halfrounds + 1) // 2
             if matches:  # each match is a reciprocal pair, so pairs >= 1

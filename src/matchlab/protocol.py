@@ -13,6 +13,10 @@ The engine is also the sole writer of the ``FeedbackLedger``, the one record
 of revealed signs.  It hands the ledger to the policy at ``start`` and
 records each sign in it before calling ``observe_*``; policies read the
 ledger and never write it.
+
+Per round the engine keeps no running totals: it appends the round of each
+new match to ``FeedbackLedger.events``, and the match curve and the AUC sum
+are derived from those rounds once the run ends.
 """
 
 from __future__ import annotations
@@ -48,13 +52,15 @@ class RoundTrace:
 
 @dataclass
 class FeedbackLedger:
-    """What has been revealed so far, and the uncovered-match accounting.
+    """What has been revealed so far, and the match events.
 
-    Observed directed edges are kept as per-user bitsets.  A pair enters
-    ``uncovered`` at the half-round where its second direction is revealed
-    with both signs positive.  ``reciprocal_pairs`` counts unordered pairs
-    with both directions observed regardless of sign.  Both are kept up to
-    date during a run, so a policy can read them between half-rounds.
+    Observed directed edges are kept as per-user bitsets.  ``events`` holds,
+    in order, the round of each match: the half-round where a pair's second
+    direction is revealed with both signs positive appends its round, so a
+    round with two new matches appears twice.  ``reciprocal_pairs`` counts
+    unordered pairs with both directions observed regardless of sign.  Both
+    are kept up to date during a run, so a policy can read them between
+    half-rounds.  ``curve`` and ``auc_sum`` are set when the run ends.
     """
 
     n: int
@@ -63,7 +69,7 @@ class FeedbackLedger:
     pos_bg: list[int] = field(default_factory=list)
     pos_gb: list[int] = field(default_factory=list)
     reciprocal_pairs: int = 0
-    uncovered: set[tuple[int, int]] = field(default_factory=set)
+    events: array = field(default_factory=lambda: array("q"))  # int64 rounds
     curve: np.ndarray | None = None
     auc_sum: int = 0
 
@@ -76,7 +82,16 @@ class FeedbackLedger:
 
     @property
     def matches(self) -> int:
-        return len(self.uncovered)
+        return len(self.events)
+
+
+def recorded_rounds(T: int, stride: int) -> np.ndarray:
+    """The rounds at which a T-round run's match curve is recorded: every
+    ``stride``-th round, and round T."""
+    ts = np.arange(stride, T + 1, stride, dtype=np.int64)
+    if not len(ts) or ts[-1] != T:
+        ts = np.append(ts, np.int64(T))
+    return ts
 
 
 @dataclass(frozen=True)
@@ -105,7 +120,14 @@ def run_protocol(
     the run's ledger (a policy that does not derive from ``MatchmakerPolicy``
     reads no ledger and is started as ``start(n, T, rng)``).
     ``curve_stride`` > 1 decimates the stored match curve for very long
-    runs; the area-under-curve accumulator stays exact either way.
+    runs (see ``recorded_rounds``); the AUC sum stays exact either way,
+    because both are derived from the match events after the last round:
+    the curve counts the events up to each recorded round, and the AUC sum,
+    the match count summed over rounds 1..T, is the sum over events of
+    T + 1 - t.
+
+    A ``MatchmakerPolicy`` whose ``observe_*`` method is the base class's
+    no-op is not called for it; a duck-typed policy always is.
 
     Selections and signs are written into typed ``array`` buffers of T
     entries, allocated once, and the trace wraps them with ``np.frombuffer``,
@@ -132,12 +154,12 @@ def run_protocol(
     obs_gb = ledger.obs_gb
     pos_bg = ledger.pos_bg
     pos_gb = ledger.pos_gb
-    uncovered = ledger.uncovered
+    events = ledger.events
 
     sel_b = policy.select_for_boy
     sel_g = policy.select_for_girl
-    obs_b = policy.observe_boy_feedback
-    obs_g = policy.observe_girl_feedback
+    obs_b = _observer(policy, "observe_boy_feedback", MatchmakerPolicy)
+    obs_g = _observer(policy, "observe_girl_feedback", MatchmakerPolicy)
     sign_bg = prefs.sign_bg
     sign_gb = prefs.sign_gb
 
@@ -145,11 +167,6 @@ def run_protocol(
     boys_sel = array("i", [0]) * T
     s_bg = array("b", [0]) * T
     s_gb = array("b", [0]) * T
-    curve = array("q")
-
-    matches = 0
-    auc_sum = 0
-    stride = curve_stride
 
     for i, b, g in zip(range(T), boy_arr, girl_arr):
         t = i + 1
@@ -168,9 +185,9 @@ def run_protocol(
             if (obs_gb[g1] >> b) & 1:
                 ledger.reciprocal_pairs += 1
                 if s1 > 0 and (pos_gb[g1] >> b) & 1:
-                    matches += 1
-                    uncovered.add((b, g1))
-        obs_b(b, g1, s1, t)
+                    events.append(t)
+        if obs_b is not None:
+            obs_b(b, g1, s1, t)
 
         # -- girl half: (1_G), (2_G), (3_G)
         b1 = sel_g(g, t)
@@ -187,20 +204,18 @@ def run_protocol(
             if (obs_bg[b1] >> g) & 1:
                 ledger.reciprocal_pairs += 1
                 if s2 > 0 and (pos_bg[b1] >> g) & 1:
-                    matches += 1
-                    uncovered.add((b1, g))
-        obs_g(g, b1, s2, t)
+                    events.append(t)
+        if obs_g is not None:
+            obs_g(g, b1, s2, t)
 
         girls_sel[i] = g1
         boys_sel[i] = b1
         s_bg[i] = s1
         s_gb[i] = s2
-        auc_sum += matches
-        if stride == 1 or t % stride == 0 or t == T:
-            curve.append(matches)
 
-    ledger.auc_sum = auc_sum
-    ledger.curve = np.frombuffer(curve, dtype=np.int64)
+    rounds = np.frombuffer(events, dtype=np.int64)
+    ledger.curve = np.searchsorted(rounds, recorded_rounds(T, curve_stride), side="right")
+    ledger.auc_sum = len(rounds) * (T + 1) - int(rounds.sum())
 
     trace = RoundTrace(
         np.frombuffer(boy_arr, dtype=np.int32),
@@ -211,3 +226,9 @@ def run_protocol(
         np.frombuffer(s_gb, dtype=np.int8),
     )
     return RunResult(trace, ledger, policy.name, seed)
+
+
+def _observer(policy, name, base):
+    """The policy's bound ``name`` method, or None where it is ``base``'s no-op."""
+    method = getattr(policy, name)
+    return None if getattr(method, "__func__", None) is getattr(base, name) else method

@@ -19,6 +19,26 @@ def and_matrix_edges(prefs):
     }
 
 
+def matching_edges(mg):
+    """The matches of a ``MatchingGraph`` as (b, g) pairs, by boy and then
+    by girl, ascending: the arc order of ``dinic_on_lists``."""
+    for b, m in enumerate(mg.boy_rows):
+        while m:
+            low = m & -m
+            yield b, low.bit_length() - 1
+            m ^= low
+
+
+def matched_pairs(ledger):
+    """The pairs a ledger has seen both ways positive: its matches."""
+    return {
+        (b, g)
+        for b, row in enumerate(ledger.pos_bg)
+        for g in range(ledger.n)
+        if (row >> g) & 1 and (ledger.pos_gb[g] >> b) & 1
+    }
+
+
 def replay_ledger(trace):
     """Re-derive the ledger from the trace columns alone.
 
@@ -50,6 +70,21 @@ def replay_ledger(trace):
                     uncovered[(b1, g)] = t
         curve.append(len(uncovered))
     return observed_bg, observed_gb, pairs, uncovered, curve
+
+
+def per_round_accounting(trace, stride):
+    """The match events, curve and AUC sum of a run, kept the way the engine
+    once kept them: a running match count added to the AUC sum every round,
+    and the curve appended to at every round that passes the stride test.
+    The events are the crediting rounds of the replayed matches, in order."""
+    *_, uncovered, counts = replay_ledger(trace)
+    T = len(trace)
+    curve, auc_sum = [], 0
+    for t, matches in enumerate(counts, start=1):
+        auc_sum += matches
+        if stride == 1 or t % stride == 0 or t == T:
+            curve.append(matches)
+    return sorted(uncovered.values()), curve, auc_sum
 
 
 def brute_force_bmatching(edges, boy_caps, girl_caps):
@@ -101,7 +136,7 @@ def dinic_on_lists(mg, counts):
     for b in range(n):
         if boy_counts[b] > 0:
             add_arc(s, b, boy_counts[b])
-    for b, g in mg.edges():
+    for b, g in matching_edges(mg):
         unit_arcs.append(add_arc(b, n + g, 1))
     for g in range(n):
         if girl_counts[g] > 0:
@@ -228,7 +263,7 @@ def reveal(policy, ledger, boy_side, x, y, sign, t=1):
     ``boy_side`` says whether x is a boy."""
     bg = (ledger.obs_bg, ledger.pos_bg)
     gb = (ledger.obs_gb, ledger.pos_gb)
-    (obs, pos), (back_obs, back_pos), pair = (bg, gb, (x, y)) if boy_side else (gb, bg, (y, x))
+    (obs, pos), (back_obs, back_pos) = (bg, gb) if boy_side else (gb, bg)
     if not (obs[x] >> y) & 1:
         obs[x] |= 1 << y
         if sign > 0:
@@ -236,7 +271,7 @@ def reveal(policy, ledger, boy_side, x, y, sign, t=1):
         if (back_obs[y] >> x) & 1:
             ledger.reciprocal_pairs += 1
             if sign > 0 and (back_pos[y] >> x) & 1:
-                ledger.uncovered.add(pair)
+                ledger.events.append(t)
     observe = policy.observe_boy_feedback if boy_side else policy.observe_girl_feedback
     observe(x, y, sign, t)
 

@@ -309,6 +309,42 @@ def test_run_releases_each_run_before_the_next(tmp_path, monkeypatch):
     assert len(list((out / "traces").iterdir())) == 6
 
 
+def test_run_workers_load_no_module(tmp_path):
+    # the parent imports what a job runs before the pool forks, so a worker
+    # loads no module of its own: numpy.random, imported in a worker, would
+    # bring hashlib and OpenSSL into each one.  A fresh interpreter runs the
+    # command, so nothing else has loaded numpy.random there; each job
+    # writes the modules it added to sys.modules.
+    import json
+
+    inst = tmp_path / "i.txt"
+    run_cli("gen", "clustered", "--n", 20, "--c-b", 3, "--c-g", 3, "--seed", 4, "--out", inst)
+    cfg = write_config(tmp_path / "cfg", instance=inst, policies="uromm,oomm,smile,ismile",
+                       T=800, seeds=2, out=tmp_path / "o", save_traces=1)
+    added = tmp_path / "added"
+    added.mkdir()
+    code = (
+        "import json, os, sys\n"
+        "from pathlib import Path\n"
+        "import matchlab.cli as cli\n"
+        "run_one = cli._run_one\n"
+        "def reporting_run_one(job):\n"
+        "    before = set(sys.modules)\n"
+        "    record = run_one(job)\n"
+        "    new = sorted(set(sys.modules) - before)\n"
+        "    (Path(sys.argv[2]) / '{}-{}'.format(*job)).write_text(json.dumps(new))\n"
+        "    return record\n"
+        "cli._run_one = reporting_run_one\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "sys.exit(cli.main(['run', sys.argv[1]]))\n"
+    )
+    done = _python(code, cfg, added, timeout=120)
+    assert done.returncode == 0, done.stderr
+    reports = {p.name: json.loads(p.read_text()) for p in added.iterdir()}
+    assert len(reports) == 4 * 2
+    assert reports == {job: [] for job in reports}
+
+
 ALL = "uromm,oomm,smile,ismile"
 
 
@@ -440,7 +476,8 @@ COMMAND_LOADS = {  # command: (its arguments, modules it must not load)
               (*ENGINE_AND_POLICIES, "matchlab.omniscient", "matchlab.datagen", "matchlab.ingest")),
     "run": (["run", "{d}/cfg", "--out", "{d}/o2"], ("matchlab.datagen", "matchlab.ingest")),
     "yardstick": (["yardstick", "{d}/i.txt", "{d}/o/traces/uromm-0.trace.csv"],
-                  ("matchlab.analysis", "matchlab.policies", "matchlab.datagen", "matchlab.ingest")),
+                  ("matchlab.analysis", "matchlab.policies", "matchlab.datagen", "matchlab.ingest",
+                   "numpy.random", "hashlib")),  # no OpenSSL in analysis_peak_rss_mb
     "ingest": (["ingest", "--ratings", "{d}/r.csv", "--genders", "{d}/g.csv", "--coeff", "1",
                 "--out", "{d}/k.txt", "--report", "{d}/k.report"],
                ("matchlab.analysis", *ENGINE_AND_POLICIES, "matchlab.omniscient", "matchlab.datagen")),

@@ -16,7 +16,7 @@ from matchlab import (
 from matchlab.core import all_degrees
 from matchlab.rng import philox
 
-from oracles import and_matrix_edges
+from oracles import and_matrix_edges, matching_edges
 
 
 def random_prefs(n, seed, p=0.5):
@@ -46,7 +46,7 @@ def test_graph_equals_entrywise_and_oracle():
     mg = build_matching_graph(prefs)
     edges = {(b, g) for b in range(8) for g in range(8) if (mg.boy_rows[b] >> g) & 1}
     assert edges == and_matrix_edges(prefs)
-    assert list(mg.edges()) == sorted(edges)  # by boy, then by girl
+    assert list(matching_edges(mg)) == sorted(edges)  # by boy, then by girl
 
 
 def test_degree_equals_popcount_oracle():
@@ -93,7 +93,7 @@ bool_matrix = st.integers(1, 6).flatmap(
 def test_matching_symmetry_and_count(data):
     n, boys, girls = data
     mg = build_matching_graph(PreferenceMatrices(n, tuple(boys), tuple(girls)))
-    edges = list(mg.edges())
+    edges = list(matching_edges(mg))
     boy_deg, girl_deg = all_degrees(mg)
     assert boy_deg == [sum(1 for b, _ in edges if b == x) for x in range(n)]
     assert girl_deg == [sum(1 for _, g in edges if g == x) for x in range(n)]
@@ -141,7 +141,7 @@ def test_bitset_conversions_match_bit_loops(data):
     assert b.dtype == bool and b.shape == g.shape == (n, n)
     assert b.tolist() == [[bool((r >> j) & 1) for j in range(n)] for r in boys]
     assert g.tolist() == [[bool((r >> j) & 1) for j in range(n)] for r in girls]
-    assert list(build_matching_graph(prefs).edges()) == [
+    assert list(matching_edges(build_matching_graph(prefs))) == [
         (i, j) for i in range(n) for j in range(n) if (boys[i] >> j) & 1 and (girls[j] >> i) & 1
     ]
 

@@ -12,7 +12,7 @@ from matchlab import (
     run_protocol,
 )
 
-from oracles import reveal
+from oracles import matched_pairs, reveal
 
 
 def test_single_mutual_cluster_all_estimates_true():
@@ -23,8 +23,8 @@ def test_single_mutual_cluster_all_estimates_true():
     r = run_protocol(prefs, make_policy("ismile"), 2 * n * n, seed=1)
     mg = build_matching_graph(prefs)
     assert r.ledger.matches > 0.8 * mg.match_count
-    assert all((mg.boy_rows[b] >> g) & 1 for b, g in r.ledger.uncovered)
-    assert r.ledger.matches == len(r.ledger.uncovered)
+    assert all((mg.boy_rows[b] >> g) & 1 for b, g in matched_pairs(r.ledger))
+    assert r.ledger.matches == len(matched_pairs(r.ledger))
 
 
 def test_all_dislike_no_crash_no_verified():

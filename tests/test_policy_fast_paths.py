@@ -28,7 +28,7 @@ def assert_same_run(prefs, fast, slow, T, seed):
     for col in COLUMNS:
         assert np.array_equal(getattr(a.trace, col), getattr(b.trace, col)), col
     assert replay_ledger(a.trace) == replay_ledger(b.trace)
-    assert a.ledger.uncovered == b.ledger.uncovered
+    assert a.ledger.events == b.ledger.events
     assert a.ledger.auc_sum == b.ledger.auc_sum
     assert fast.diagnostics() == slow.diagnostics()
 

@@ -5,18 +5,20 @@ from hypothesis import strategies as st
 
 from matchlab import (
     POLICIES,
+    ClusteredSpec,
     InputError,
     PreferenceMatrices,
     ProtocolError,
     arrival_counts,
     build_matching_graph,
+    gen_clustered,
     make_policy,
     optimal_matches,
     run_protocol,
 )
 from matchlab.policies.base import MatchmakerPolicy
 
-from oracles import SignCountingPrefs, replay_ledger
+from oracles import SignCountingPrefs, matched_pairs, per_round_accounting, replay_ledger
 
 
 def all_like(n):
@@ -50,7 +52,8 @@ def assert_ledger_is_replay(r, prefs):
     """The ledger holds exactly what the trace revealed: a policy that wrote
     to it would add bits or counts the replay does not have."""
     obs_bg, obs_gb, pairs, uncovered, curve = replay_ledger(r.trace)
-    assert set(uncovered) == r.ledger.uncovered
+    assert set(uncovered) == matched_pairs(r.ledger)
+    assert sorted(uncovered.values()) == r.ledger.events.tolist()
     assert pairs == r.ledger.reciprocal_pairs
     assert curve == r.ledger.curve.tolist()
     n = prefs.n
@@ -99,7 +102,7 @@ def test_curve_monotone_and_final(demo_prefs):
     r = run_protocol(demo_prefs, make_policy("uromm"), 60, seed=11)
     curve = r.ledger.curve
     assert np.all(np.diff(curve) >= 0)
-    assert curve[-1] == len(r.ledger.uncovered)
+    assert curve[-1] == len(matched_pairs(r.ledger))
     mg = build_matching_graph(demo_prefs)
     assert curve[-1] <= mg.match_count
 
@@ -116,6 +119,23 @@ def test_match_credited_when_second_direction_observed(demo_prefs):
 def test_auc_matches_curve_sum(demo_prefs):
     r = run_protocol(demo_prefs, make_policy("uromm"), 30, seed=4)
     assert r.ledger.auc_sum / r.T == r.ledger.curve.sum() / 30
+
+
+@pytest.mark.parametrize("stride", [1, 7, "T"])
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_events_give_the_per_round_accounting(name, stride):
+    # the curve and AUC sum derived from the events equal a per-round count;
+    # T = 2 n^2 takes smile into its matching phase
+    n = 20
+    prefs = gen_clustered(ClusteredSpec(n=n, c_b=3, c_g=3, seed=4))
+    T = 2 * n * n
+    stride = T if stride == "T" else stride
+    r = run_protocol(prefs, make_policy(name), T, seed=2, curve_stride=stride)
+    events, curve, auc_sum = per_round_accounting(r.trace, stride)
+    assert r.ledger.events.tolist() == events
+    assert r.ledger.curve.tolist() == curve
+    assert r.ledger.auc_sum == auc_sum
+    assert len(events) > 10
 
 
 def test_determinism_bit_identical(demo_prefs):
