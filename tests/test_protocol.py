@@ -144,6 +144,7 @@ def test_determinism_bit_identical(demo_prefs):
     for field in ("boy_arrivals", "girls_selected", "signs_bg", "girl_arrivals", "boys_selected", "signs_gb"):
         assert np.array_equal(getattr(a.trace, field), getattr(b.trace, field))
     assert np.array_equal(a.ledger.curve, b.ledger.curve)
+    assert a.ledger.events == b.ledger.events
     c = run_protocol(demo_prefs, make_policy("oomm"), 50, seed=10)
     assert not np.array_equal(a.trace.girls_selected, c.trace.girls_selected)
 
