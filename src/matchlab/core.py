@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +125,8 @@ def delta_overload(mg: MatchingGraph, T: int) -> Fraction:
 # blank line
 # n lines: girls_like
 
-ROW_BLOCK = 64  # instance rows parsed per numpy pass
+ROW_BLOCK = 64  # instance rows read and parsed per numpy pass
+ASCII_SPACE = " \t\n\r\x0b\x0c"  # what bytes.strip() strips
 
 
 def write_instance(prefs: PreferenceMatrices, path) -> None:
@@ -139,39 +141,58 @@ def write_instance(prefs: PreferenceMatrices, path) -> None:
 
 def read_instance(path) -> PreferenceMatrices:
     """Parse an instance file.  Lines end at LF, CRLF or CR, and each line
-    is stripped of ASCII whitespace.  A side's rows are checked and packed
-    in numpy, a block of ``ROW_BLOCK`` rows at a time, with no Python
-    object per bit."""
+    is stripped of ASCII whitespace.  The file is read a block of
+    ``ROW_BLOCK`` lines at a time, and each block's rows are checked and
+    packed in numpy, with no Python object per bit.  A file with fewer than
+    2n + 2 lines is reported as short before any error in its rows."""
     path = Path(path)
-    raw = path.read_bytes().splitlines()
-    if not raw:
-        raise ParseError(path, 1, "empty instance file")
-    first = raw[0].decode(errors="replace")
-    try:
-        n = int(first.strip())
-    except ValueError:
-        raise ParseError(path, 1, f"expected population size, got {first!r}") from None
-    if n < 1:
-        raise ParseError(path, 1, f"population size must be >= 1, got {n}")
-    if len(raw) < 2 * n + 2:
-        raise ParseError(path, len(raw), f"expected {2 * n + 2} lines for n={n}")
+    # latin-1 maps each byte to one character, and newline=None ends lines
+    # at LF, CRLF and CR alone, as bytes.splitlines does
+    with open(path, encoding="latin-1", newline=None) as f:
+        first = f.readline()
+        if not first:
+            raise ParseError(path, 1, "empty instance file")
+        first = first.rstrip("\n").encode("latin-1").decode(errors="replace")
+        try:
+            n = int(first.strip())
+        except ValueError:
+            raise ParseError(path, 1, f"expected population size, got {first!r}") from None
+        if n < 1:
+            raise ParseError(path, 1, f"population size must be >= 1, got {n}")
+        want = 2 * n + 2
+        read = 1
 
-    def parse_block(start, what):
-        masks = []
-        for i in range(start, start + n, ROW_BLOCK):  # a block of rows at a time keeps the heap small
-            lines = [line.strip() for line in raw[i : min(i + ROW_BLOCK, start + n)]]
-            # a fixed-width array pads short lines with NUL and cuts long
-            # ones, so the lengths are checked apart from the characters
-            bits = np.array(lines, dtype=f"S{n}").view(np.uint8).reshape(len(lines), n)
-            bits -= ord("0")  # in place: "0" -> 0, "1" -> 1, anything else > 1
-            bad = (np.fromiter(map(len, lines), dtype=np.intp) != n) | (bits.max(axis=1) > 1)
-            if bad.any():
-                raise ParseError(path, i + int(bad.argmax()) + 1, f"{what}: need {n} chars of 0/1")
-            masks += rows_to_masks(bits.view(bool))
-        return tuple(masks)
+        def fail(line, message):
+            # the rest of the file decides whether it is short instead
+            lines = read + sum(1 for _ in f)
+            if lines < want:
+                raise ParseError(path, lines, f"expected {want} lines for n={n}")
+            raise ParseError(path, line, message)
 
-    boys = parse_block(1, "boys_like")
-    if raw[n + 1].strip():
-        raise ParseError(path, n + 2, "expected blank separator line")
-    girls = parse_block(n + 2, "girls_like")
+        def next_lines(k):
+            nonlocal read
+            lines = [line.strip(ASCII_SPACE).encode("latin-1") for line in islice(f, k)]
+            read += len(lines)
+            if len(lines) < k:
+                raise ParseError(path, read, f"expected {want} lines for n={n}")
+            return lines
+
+        def parse_block(what):
+            masks = []
+            for left in range(n, 0, -ROW_BLOCK):
+                lines = next_lines(min(ROW_BLOCK, left))
+                # a fixed-width array pads short lines with NUL and cuts long
+                # ones, so the lengths are checked apart from the characters
+                bits = np.array(lines, dtype=f"S{n}").view(np.uint8).reshape(len(lines), n)
+                bits -= ord("0")  # in place: "0" -> 0, "1" -> 1, anything else > 1
+                bad = (np.fromiter(map(len, lines), dtype=np.intp) != n) | (bits.max(axis=1) > 1)
+                if bad.any():
+                    fail(read - len(lines) + int(bad.argmax()) + 1, f"{what}: need {n} chars of 0/1")
+                masks += rows_to_masks(bits.view(bool))
+            return tuple(masks)
+
+        boys = parse_block("boys_like")
+        if next_lines(1)[0]:
+            fail(n + 2, "expected blank separator line")
+        girls = parse_block("girls_like")
     return PreferenceMatrices(n, boys, girls)

@@ -11,16 +11,17 @@ them to representative.  When S' > ceil(n/2) no user reaches S' signs before
 ceil(n/2), so phase I promotes every user and C = n: at n = 400 this is the
 case whenever S clamps to floor(n / ln n) = 66 (S' = 212 > 200).  Phase II
 serves each arrival the next counterpart estimated mutual from
-representative feedback, through a C^B x C^G cluster grid with
-forward-only pointers.  Every cell no user fills is one shared empty tuple,
-so the grid costs one pointer per cell plus the users it stores.
+representative feedback, through forward-only pointers over a C^B x C^G
+cluster grid.  No cell is stored: cell (i, j) of a side is one AND of two
+bitsets, its cluster-i users and its users who liked the other side's
+representative j, so a cell costs nothing until a walk reads it.
 
 The algorithm is written once for both sides.  Each side is a ``SmileSide``:
 its users' revealed rows (the engine ledger's), their ``SideClusters`` (fed
 only at the cursor user, which keeps phase I in strict cursor order), and
-the side's half of the cluster grid with its walk pointers.  The engine's four entry points
-pass the arriving user's side and the other side to ``_select`` and
-``_observe``.
+the two bitset lists behind its half of the cluster grid, with its walk
+pointers.  The engine's four entry points pass the arriving user's side and
+the other side to ``_select`` and ``_observe``.
 
 All logarithms are natural; S' = 2S + 4*ceil(sqrt(S ln n)).
 """
@@ -28,7 +29,6 @@ All logarithms are natural; S' = 2S + 4*ceil(sqrt(S ln n)).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 from ..errors import InputError
 from .base import MatchmakerPolicy, lowest_unqueried
@@ -81,65 +81,53 @@ def choose_S(m_hat: int, n: int, gamma: float = 1.0) -> tuple[int, int]:
 class SmileSide(PolicySide):
     """One side of smile.
 
-    Phase 0 delegates to the baseline's methods for this side.  The cluster
-    grid of phase II is split between the two sides: ``cells[i][j]`` is the
-    ascending list of this side's cluster-i users who liked the
-    representative of the other side's cluster j (the shared empty tuple
-    when there are none), and ``rep_order[i]``
-    represents this side's cluster i.  A pair is an estimated match iff
-    each user is on the other's cell: x in ``cells[i][j]`` and y in the
-    other side's ``cells[j][i]``.  ``ptr_cell``/``ptr_off`` only move
-    forward, so each stored item is visited at most once per user.
+    Phase 0 delegates to the baseline's methods for this side.  In phase
+    II, ``rep_order[i]`` represents this side's cluster i, ``members[i]`` is
+    the bitset of its users and ``fans[j]`` the bitset of this side's users
+    who liked the representative of the other side's cluster j.  Cell
+    (i, j) of the grid is ``members[i] & fans[j]``; a pair is an estimated
+    match iff each user is in the other's cell: x in cell (i, j) and y in
+    the other side's cell (j, i).  ``ptr_cell``/``ptr_off`` only move
+    forward, ``ptr_off`` being the next bit to visit in the other side's
+    cell, so each cell entry is visited at most once per user.
     """
 
-    __slots__ = ("p0_select", "p0_observe", "a", "rep_order", "cells", "ptr_cell", "ptr_off")
+    __slots__ = ("p0_select", "p0_observe", "a", "rep_order", "members", "fans",
+                 "ptr_cell", "ptr_off")
 
     def __init__(self, n, obs, pos, clusters):
         super().__init__(n, obs, pos, clusters)
         self.p0_select = self.p0_observe = None
         self.a: list[int] = []  # user -> cluster id (rank of its representative)
         self.rep_order: list[int] = []
-        self.cells: list[list[list[int] | tuple[()]]] = []
+        self.members: list[int] = []
+        self.fans: list[int] = []
         self.ptr_cell = [-1] * n
         self.ptr_off = [0] * n
 
 
 def build_matching_index(boys: SmileSide, girls: SmileSide, n: int) -> int:
-    """One-pass construction of the cluster grid from representative feedback.
+    """One-pass construction of both sides' phase II bitsets.
 
     Representatives are ordered by their observed feedback column
     (bitset value: a fixed lexicographic order), cluster ids are ranks in
-    that order.  Fills both sides' ``a``, ``rep_order`` and ``cells``;
-    returns the work done, which stays O(n (C^G + C^B)).
+    that order.  Fills both sides' ``a``, ``rep_order``, ``members`` and
+    ``fans`` (the other side's representatives' ``pos`` bitsets, shared,
+    not copied).  Returns the work of filling a stored grid, n per side
+    plus n per opposite representative, O(n (C^G + C^B)).
     """
     if boys.clusters.cursor < n or girls.clusters.cursor < n:
         raise RuntimeError("cluster estimation is not finished")
-    ops = 0
     for side in (boys, girls):
         cl = side.clusters
         side.rep_order = sorted(cl.reps, key=lambda u: (cl.pos[u], u))
         rank = {r: i for i, r in enumerate(side.rep_order)}
         rank_of_cid = [rank[r] for r in cl.reps]
         side.a = [rank_of_cid[cl.cid_of[u]] for u in range(n)]
-        ops += n
-    # one read per (user, opposite-side representative); a cell stays the
-    # shared empty tuple until its first user makes it a list
+        side.members = [sum(1 << u for u in cl.members[cl.cid_of[r]]) for r in side.rep_order]
     for side, other in ((boys, girls), (girls, boys)):
-        cells = side.cells = [[()] * len(other.rep_order) for _ in side.rep_order]
-        a = side.a
-        for j, r in enumerate(other.rep_order):
-            ops += n
-            m = other.clusters.pos[r]  # this side's users who liked r
-            while m:
-                low = m & -m
-                x = low.bit_length() - 1
-                row = cells[a[x]]
-                if row[j]:
-                    row[j].append(x)
-                else:
-                    row[j] = [x]
-                m ^= low
-    return ops
+        side.fans = [other.clusters.pos[r] for r in other.rep_order]
+    return n * (2 + len(boys.fans) + len(girls.fans))
 
 
 class SmilePolicy(MatchmakerPolicy):
@@ -216,7 +204,7 @@ class SmilePolicy(MatchmakerPolicy):
         # A walk past its last cell finds nothing and moves no pointer, so an
         # exhausted user (most phase II arrivals at T = 2n^2) skips it.  A walk
         # not yet exhausted must run: it advances phase2_ops.
-        if me.ptr_cell[x] < len(me.cells[me.a[x]]):
+        if me.ptr_cell[x] < len(me.fans):
             y = self._walk(me, other, x)
             if y is not None:
                 return y
@@ -260,36 +248,38 @@ class SmilePolicy(MatchmakerPolicy):
     def _walk(self, me, other, x):
         """Next unqueried counterpart estimated mutual with x, or None.
 
-        The caller skips a walk that is already past its last cell.
+        ``phase2_ops`` counts one per cell entry visited in the other
+        side's cells and, per own cell scanned, the cost of a binary
+        search in it.  The caller skips a walk that is already past its
+        last cell.
         """
         i = me.a[x]
-        row = me.cells[i]
-        c = len(row)
+        mates, fans = me.members[i], me.fans  # x's cluster, x included
+        c = len(fans)
         j = me.ptr_cell[x]
-        other_cells = other.cells
         off = me.ptr_off[x]
         obs = me.obs[x]
+        xbit = 1 << x
         ops = 0
         while True:
             if j >= 0:
-                lst = other_cells[j][i]
-                while off < len(lst):
-                    y = lst[off]
-                    off += 1
-                    ops += 1
-                    if not (obs >> y) & 1:
-                        me.ptr_cell[x] = j
-                        me.ptr_off[x] = off
-                        self.phase2_ops += ops
-                        return y
+                todo = other.members[j] & other.fans[i] & -(1 << off)  # bits >= off
+                free = todo & ~obs
+                if free:
+                    low = free & -free
+                    ops += (todo & (2 * low - 1)).bit_count()  # entries up to y
+                    y = low.bit_length() - 1
+                    me.ptr_cell[x] = j
+                    me.ptr_off[x] = y + 1
+                    self.phase2_ops += ops
+                    return y
+                ops += todo.bit_count()
             j += 1
             while j < c:
-                own = row[j]
-                ops += max(1, len(own).bit_length())  # binary-search cost proxy
-                if own:
-                    k = bisect_left(own, x)
-                    if k < len(own) and own[k] == x:
-                        break
+                own = mates & fans[j]
+                ops += max(1, own.bit_count().bit_length())  # binary-search cost proxy
+                if own & xbit:
+                    break
                 j += 1
             if j >= c:
                 me.ptr_cell[x] = c

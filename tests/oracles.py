@@ -560,6 +560,8 @@ def densify_loop(bin_likes, c, count_mode="both"):
 
 
 # -------------------------------------------------- policy selects before their fast paths
+from bisect import bisect_left  # noqa: E402
+
 from matchlab.policies.ismile import IsmilePolicy  # noqa: E402
 from matchlab.policies.smile import SmilePolicy  # noqa: E402
 
@@ -640,6 +642,70 @@ class SmileAlwaysWalk(SmilePolicy):
         return lowest if y is None else y
 
     def _walk(self, me, other, x):
-        if me.ptr_cell[x] >= len(me.cells[me.a[x]]):
+        if me.ptr_cell[x] >= len(me.fans):
             return None
         return super()._walk(me, other, x)
+
+
+class SmileStoredGrid(SmilePolicy):
+    """smile whose phase II walks a stored C^B x C^G grid: ``cells[side][i][j]``
+    is the ascending list of the side's cluster-i users who liked the other
+    side's representative j, and ``ptr_off`` is an offset into a list."""
+
+    def _enter_matching(self):
+        boys, girls, n = self.boys, self.girls, self.n
+        ops = 0
+        for side in (boys, girls):
+            cl = side.clusters
+            side.rep_order = sorted(cl.reps, key=lambda u: (cl.pos[u], u))
+            rank = {r: i for i, r in enumerate(side.rep_order)}
+            side.a = [rank[cl.reps[cl.cid_of[u]]] for u in range(n)]
+            ops += n
+        self.cells = {}
+        for side, other in ((boys, girls), (girls, boys)):
+            # the production ``_select`` reads how many cells a row has here
+            side.fans = [other.clusters.pos[r] for r in other.rep_order]
+            cells = self.cells[side] = [[[] for _ in other.rep_order] for _ in side.rep_order]
+            for j, liked in enumerate(side.fans):
+                ops += n
+                for x in range(n):
+                    if (liked >> x) & 1:
+                        cells[side.a[x]][j].append(x)
+        self.build_ops = ops
+        self.phase = "user_matching"
+
+    def _walk(self, me, other, x):
+        i = me.a[x]
+        row = self.cells[me][i]
+        other_cells = self.cells[other]
+        c = len(row)
+        j = me.ptr_cell[x]
+        off = me.ptr_off[x]
+        obs = me.obs[x]
+        ops = 0
+        while True:
+            if j >= 0:
+                lst = other_cells[j][i]
+                while off < len(lst):
+                    y = lst[off]
+                    off += 1
+                    ops += 1
+                    if not (obs >> y) & 1:
+                        me.ptr_cell[x] = j
+                        me.ptr_off[x] = off
+                        self.phase2_ops += ops
+                        return y
+            j += 1
+            while j < c:
+                own = row[j]
+                ops += max(1, len(own).bit_length())  # binary-search cost proxy
+                k = bisect_left(own, x)
+                if k < len(own) and own[k] == x:
+                    break
+                j += 1
+            if j >= c:
+                me.ptr_cell[x] = c
+                me.ptr_off[x] = 0
+                self.phase2_ops += ops
+                return None
+            off = 0

@@ -2,8 +2,10 @@
 
 ``oracles.IsmileScanAll`` rescans every liked cluster and walks the whole
 priority chain on every arrival; ``oracles.SmileAlwaysWalk`` runs the phase
-II walk and ``_observe`` on every half-round.  The production policies must
-make the same selections and report the same diagnostics.
+II walk and ``_observe`` on every half-round; ``oracles.SmileStoredGrid``
+walks a stored grid of cell lists instead of ANDing two bitsets per cell.
+The production policies must make the same selections and report the same
+diagnostics.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from matchlab.policies.ismile import IsmilePolicy
 from matchlab.policies.smile import SmilePolicy
 from matchlab.rng import SubstreamRng
 
-from oracles import IsmileScanAll, SmileAlwaysWalk, replay_ledger
+from oracles import IsmileScanAll, SmileAlwaysWalk, SmileStoredGrid, replay_ledger
 
 PAIRS = {"smile": (SmilePolicy, SmileAlwaysWalk), "ismile": (IsmilePolicy, IsmileScanAll)}
 COLUMNS = ("boy_arrivals", "girls_selected", "signs_bg", "girl_arrivals", "boys_selected", "signs_gb")
@@ -64,6 +66,41 @@ def test_fast_paths_match_full_scans(prefs, name, S, tolerance, frac, seed):
         kwargs["tolerance"] = tolerance
     fast_cls, slow_cls = PAIRS[name]
     assert_same_run(prefs, fast_cls(**kwargs), slow_cls(**kwargs), T, seed)
+
+
+@st.composite
+def smile_cases(draw):
+    """An instance and smile's forced S (None runs phase 0).
+
+    At n <= 12 every S' exceeds ceil(n/2), so phase I promotes every user
+    and C = n: a cell holds at most one user.  At 47 <= n <= 54 the least
+    S, ceil(ln n), gives S' <= ceil(n/2), so phase I finds noiseless
+    clusters and a cell can hold several users.
+    """
+    if draw(st.booleans()):
+        return draw(small_instances()), draw(st.none() | st.integers(1, 16))
+    n = draw(st.integers(47, 54))
+    spec = ClusteredSpec(n=n, c_b=draw(st.integers(1, 6)), c_g=draw(st.integers(1, 6)),
+                         p_like=draw(st.sampled_from([0.2, 0.5, 0.9])), flip=0.0,
+                         seed=draw(st.integers(0, 2**16)))
+    return gen_clustered(spec), draw(st.just(1) | st.none())  # S = 1 clamps to ceil(ln n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=smile_cases(),
+    tolerance=st.none() | st.sampled_from([0.0, 0.25]),
+    frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_smile_cells_from_bitsets_match_stored_grid(case, tolerance, frac, seed):
+    prefs, S = case
+    n = prefs.n
+    T = max(1, round(frac * 3 * n * n))
+    kwargs = {"S": S}
+    if tolerance is not None:
+        kwargs["tolerance"] = tolerance
+    assert_same_run(prefs, SmilePolicy(**kwargs), SmileStoredGrid(**kwargs), T, seed)
 
 
 class RevivalCountingIsmile(IsmilePolicy):

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 
 import pytest
@@ -220,13 +219,20 @@ def quadratic_estimated_matches(policy, n):
     return out
 
 
+def cell(side, i, j):
+    """Cell (i, j) of a side's half of the grid, ascending: its cluster-i
+    users who liked the other side's representative j."""
+    m = side.members[i] & side.fans[j]
+    return [x for x in range(m.bit_length()) if (m >> x) & 1]
+
+
 def estimated_partners(side, other, x):
     """All counterparts the cluster grid would ever serve to x (ignores pointers)."""
     i = side.a[x]
     out = []
-    for j, own in enumerate(side.cells[i]):
-        if x in own:
-            out.extend(other.cells[j][i])
+    for j in range(len(side.fans)):
+        if x in cell(side, i, j):
+            out.extend(cell(other, j, i))
     return out
 
 
@@ -259,10 +265,10 @@ def test_index_single_mutual_cluster():
     policy, _ = run_smile(prefs, 12000, seed=0, S=5)
     assert policy.phase == PHASE_MATCH
     boys, girls = policy.boys, policy.girls
-    assert len(boys.cells) == len(girls.cells) == 1
+    assert len(boys.members) == len(girls.members) == 1
     assert sorted(b for b in range(n) if boys.a[b] == 0) == list(range(n))
     # the single cell holds everyone who rated the opposite representative positively
-    assert set(boys.cells[0][0]) == {
+    assert set(cell(boys, 0, 0)) == {
         b for b in range(n) if (girls.clusters.f[girls.rep_order[0]] >> b) & 1
     }
 
@@ -273,7 +279,8 @@ def test_index_no_mutual_likes():
     policy, _ = run_smile(prefs, 12000, seed=0, S=5)
     assert policy.phase == PHASE_MATCH
     for side in (policy.boys, policy.girls):
-        assert all(not cell for row in side.cells for cell in row)
+        assert all(not cell(side, i, j) for i in range(len(side.members))
+                   for j in range(len(side.fans)))
 
 
 def test_index_requires_finished_phase1():
@@ -290,20 +297,21 @@ def test_build_ops_linear_in_population_and_clusters():
     prefs = gen_clustered(spec)
     policy, _ = run_smile(prefs, 40000, seed=1, S=5)
     boys, girls = policy.boys, policy.girls
-    c_b, c_g = len(boys.cells), len(girls.cells)
+    c_b, c_g = len(boys.members), len(girls.members)
     bound = 6 * 100 * (c_g + c_b)
     assert policy.build_ops <= bound
-    stored = sum(len(cell) for side in (boys, girls) for row in side.cells for cell in row)
+    stored = sum(len(cell(boys, i, j)) for i in range(c_b) for j in range(c_g))
+    stored += sum(len(cell(girls, j, i)) for i in range(c_b) for j in range(c_g))
     assert stored <= 100 * c_g + 100 * c_b
-    # lists ascending and consistent with the cluster assignment
+    # cells ascending and consistent with the cluster assignment
     for i in range(c_b):
         for j in range(c_g):
-            lb = boys.cells[i][j]
+            lb = cell(boys, i, j)
             assert list(lb) == sorted(lb)
             assert all(boys.a[b] == i for b in lb)
 
 
-def test_grid_memory_is_pointers_plus_entries():
+def test_index_memory_is_linear_in_users_and_clusters():
     # S = 20 gives S' = 80 > ceil(100/2) = 50, so phase I promotes every user
     # and the grid has C^B x C^G = 100 x 100 cells per side, almost all empty
     n = 100
@@ -311,30 +319,19 @@ def test_grid_memory_is_pointers_plus_entries():
     policy, _ = run_smile(prefs, 20000, seed=1, S=20)
     assert policy.phase == PHASE_MATCH and policy.S_prime == 80
     boys, girls = policy.boys, policy.girls
-    assert len(boys.clusters.reps) == len(girls.clusters.reps) == n
+    c = len(boys.clusters.reps)
+    assert c == len(girls.clusters.reps) == n
 
     tracemalloc.start()
     build_matching_index(boys, girls, n)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
-    rows = [row for side in (boys, girls) for row in side.cells]
-    cells = [cell for row in rows for cell in row]
-    empty = [cell for cell in cells if not cell]
-    filled = [cell for cell in cells if cell]
-    assert len(cells) == 2 * n * n
-    assert empty[0] == () and all(cell is empty[0] for cell in empty)
-    assert all(type(cell) is list and len(cell) == 1 for cell in filled)
-    assert len({id(cell) for cell in filled}) == len(filled)
-    # The bound: one 8-byte pointer per cell and a list header per row; each
-    # filled cell of a singleton grid holds one user, a list of one item
-    # (getsizeof([0]) bytes); 256 bytes per user and side cover ``a``,
-    # ``rep_order``, the rank maps and the sort keys.  That is about 0.4 MB
-    # here; a grid that gave each of its ~17,000 empty cells its own empty
-    # list (56 bytes) would spend about 1 MB on those alone.
-    bound = (8 * len(cells) + sys.getsizeof([]) * len(rows)
-             + sys.getsizeof([0]) * len(filled) + 256 * 2 * n)
-    assert peak < bound
+    # 256 bytes per user and per cluster on each side cover ``a``,
+    # ``rep_order``, ``members``, ``fans``, the rank maps and the sort keys:
+    # about 102 KB here.  Any storage per cell fails it: 2 x 10,000 cells
+    # at one 8-byte pointer each are 160 KB alone.
+    assert peak < 2 * 256 * (n + c)
 
 
 def test_phase2_work_bound():
@@ -342,7 +339,7 @@ def test_phase2_work_bound():
     prefs = gen_clustered(spec)
     T = 40000
     policy, _ = run_smile(prefs, T, seed=1, S=5)
-    c_b, c_g = len(policy.boys.cells), len(policy.girls.cells)
+    c_b, c_g = len(policy.boys.members), len(policy.girls.members)
     bound = 4 * (T + 100 * (c_g + c_b) * math.log2(100))
     assert policy.phase2_ops <= bound
 
@@ -359,8 +356,9 @@ def test_pointer_exhaustion_single_partner():
     for side in (boys, girls):
         side.a = [0] * n
         side.rep_order = [0]
-    boys.cells = [[[2]]]    # only boy 2 estimated to like the girl cluster
-    girls.cells = [[[5]]]   # only girl 5 estimated reciprocal
+        side.members = [(1 << n) - 1]
+    boys.fans = [1 << 2]    # only boy 2 estimated to like the girl cluster
+    girls.fans = [1 << 5]   # only girl 5 estimated reciprocal
     assert policy._walk(boys, girls, 2) == 5
     reveal(policy, ledger, True, 2, 5, 1)  # the reveal happens, pointer must not revisit
     assert policy._walk(boys, girls, 2) is None
