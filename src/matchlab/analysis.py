@@ -46,12 +46,6 @@ class CoveringResult:
     size: int
     n_rows: int
 
-    def validate(self, column_masks: list[int]) -> bool:
-        return all(
-            (self.centers[c] ^ col).bit_count() <= self.radius
-            for col, c in zip(column_masks, self.assignment)
-        )
-
 
 TILE = 128
 

@@ -19,13 +19,13 @@ a short command does not pay for the others' start-up:
 - ``yardstick`` loads ``omniscient``, ``core`` and, for the trace's
   columns, ``protocol``, but no policy;
 - ``run`` loads the engine, the policies, ``omniscient``, ``analysis``,
-  ``numpy.random`` and the process pool.
+  ``numpy.random`` and the job runner (``runner``), which forks the process
+  pool.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -40,14 +40,6 @@ if TYPE_CHECKING:
 
     from .core import PreferenceMatrices
     from .protocol import RoundTrace
-
-POLICY_PARAM_TYPES = {
-    "smile": {"S": int, "gamma": float, "tolerance": float},
-    "ismile": {"S": int, "tolerance": float},
-    "uromm": {},
-    "oomm": {},
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -111,9 +103,9 @@ def parse_config(path) -> ExperimentConfig:
         seen.add(key)
         if "." in key:
             pol, param = key.split(".", 1)
-            if pol not in POLICY_PARAM_TYPES:
+            if pol not in POLICIES:
                 raise InputError(f"{path}:{i}: unknown policy {pol!r} in override")
-            types = POLICY_PARAM_TYPES[pol]
+            types = POLICIES[pol].param_types
             if param not in types:
                 raise InputError(f"{path}:{i}: policy {pol!r} takes no parameter {param!r}")
             policy_params.setdefault(pol, {})[param] = _number(path, key, value, types[param])
@@ -187,28 +179,15 @@ class RunRecord:
 def cmd_run(config: ExperimentConfig) -> int:
     """Run every policy on every seed and write the run directory.
 
-    The (policy, seed) jobs run in forked worker processes, one per usable
-    CPU (no more than there are jobs), and their records come back in job
-    order, so every output, the dominance check and the first error raised
-    are the same whatever the number of CPUs.  Each worker holds one run at
-    a time and the parent only the runs' ``RunRecord``s; summed over the
-    processes, memory is one run per worker.  M*_T of a seed is solved in
-    the worker of the first policy's job for it (the arrivals of a seed
-    are the same under every policy), and every run is checked against it
-    as its record arrives.
-
-    The pool is shut down on every exit, and always through
-    ``shutdown(wait=True, cancel_futures=True)``: on an error the jobs
-    still waiting are cancelled, and every worker is reaped before ``main``
-    returns.  The executor hands a job to its call queue before a worker
-    takes it, and ``cancel_futures`` cannot reach the jobs there; so the
-    parent first sets ``stop``, a byte of shared memory the workers
-    inherit, and a job that finds it set returns at once.  Only the jobs
-    already running when the error arrives run to their end.  The byte
-    takes no lock (a ``multiprocessing.Event`` does), so a worker killed
-    in mid-check cannot leave the parent waiting.  A worker that dies
-    (killed by a signal or by the kernel's out-of-memory killer) breaks the
-    pool; that is an exit 3.
+    The (policy, seed) jobs go to ``runner.run_jobs``: forked workers, one
+    per usable CPU, whose records come back in job order, so every output,
+    the dominance check and the first error raised are the same whatever
+    the number of CPUs.  Each worker holds one run at a time and the parent
+    only the runs' ``RunRecord``s; summed over the processes, memory is one
+    run per worker.  M*_T of a seed is solved in the worker of the first
+    policy's job for it (the arrivals of a seed are the same under every
+    policy), and every run is checked against it as its record arrives.  A
+    failed check stops the runner, so no job starts after it.
 
     The parent imports every module a job runs before the pool forks, so
     the workers share its copy and load nothing themselves.  That includes
@@ -219,15 +198,11 @@ def cmd_run(config: ExperimentConfig) -> int:
     here, not at the top of ``rng``, so ``yardstick``, which loads
     ``protocol`` for the trace's columns, does not load OpenSSL.
     """
-    import mmap
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     import numpy.random  # noqa: F401  (loaded once, before the workers fork)
 
     from . import omniscient, protocol  # noqa: F401
     from .core import build_matching_graph, read_instance
+    from .runner import run_jobs
 
     prefs = read_instance(config.instance)
     n = prefs.n
@@ -245,14 +220,8 @@ def cmd_run(config: ExperimentConfig) -> int:
     jobs = [(pol_name, seed) for pol_name in config.policies for seed in config.seeds]
     results: dict[str, list[RunRecord]] = {p: [] for p in config.policies}
     mstar: dict[int, int] = {}
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    sys.stdout.flush()  # a forked worker would write out the parent's buffered text again
-    sys.stderr.flush()
-    stop = mmap.mmap(-1, 1)  # anonymous and shared: the forked workers see the parent's writes
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(config, prefs, mg, stop))
-    try:
-        for (pol_name, seed), (rec, seed_mstar) in zip(jobs, pool.map(_run_one, jobs)):
+    with run_jobs(_run_one, jobs, _start_worker, (config, prefs, mg)) as records:
+        for (pol_name, seed), (rec, seed_mstar) in zip(jobs, records):
             if seed_mstar is not None:
                 mstar[seed] = seed_mstar
             if rec.matches > mstar[seed]:
@@ -261,12 +230,6 @@ def cmd_run(config: ExperimentConfig) -> int:
                     f"{rec.matches} > M*_T = {mstar[seed]}"
                 )
             results[pol_name].append(rec)
-    except BrokenProcessPool:
-        raise InternalCheckError("a run worker died before its job finished") from None
-    finally:
-        stop[0] = 1
-        pool.shutdown(wait=True, cancel_futures=True)
-        stop.close()
 
     _write_manifest(out / "manifest.txt", config, prefs, mg)
     _write_curves(out / "curves.csv", config, results)
@@ -276,26 +239,25 @@ def cmd_run(config: ExperimentConfig) -> int:
     if config.save_runs or len(jobs) <= 4:
         rdir = out / "runs"
         rdir.mkdir(exist_ok=True)
-        for pol_name, records in results.items():
-            for rec in records:
+        for pol_name, pol_records in results.items():
+            for rec in pol_records:
                 _write_run_csv(rdir / f"{pol_name}-{rec.seed}.csv", rec, config.curve_stride)
     print(f"wrote {out}")
     return 0
 
 
-_worker_state = None  # (config, prefs, mg, stop) in a run's worker processes
+_worker_state = None  # (config, prefs, mg) in a run's worker processes
 
 
-def _start_worker(config, prefs, mg, stop) -> None:
+def _start_worker(config, prefs, mg) -> None:
     global _worker_state
-    _worker_state = config, prefs, mg, stop
+    _worker_state = config, prefs, mg
 
 
-def _run_one(job) -> tuple[RunRecord, int | None] | None:
+def _run_one(job) -> tuple[RunRecord, int | None]:
     """One (policy, seed) job in a worker: the run, its trace saved if
     asked, reduced to its record; with M*_T of the seed if the policy is
-    the first one.  None, without a run, once the parent has set ``stop``
-    (it then reads no more results).
+    the first one.
 
     The run and its policy are released before the flow is solved, so a
     worker holds one run at a time.  The names are looked up in the
@@ -306,9 +268,7 @@ def _run_one(job) -> tuple[RunRecord, int | None] | None:
     from .policies import make_policy
     from .protocol import run_protocol
 
-    config, prefs, mg, stop = _worker_state
-    if stop[0]:
-        return None
+    config, prefs, mg = _worker_state
     pol_name, seed = job
     policy = make_policy(pol_name, **config.policy_params.get(pol_name, {}))
     run = run_protocol(prefs, policy, config.T, seed, config.curve_stride)

@@ -101,10 +101,6 @@ class FlowNetwork:
     def sink(self) -> int:
         return 2 * self.n + 1
 
-    def arc_flow(self, e: int) -> int:
-        # pushed flow accumulates on the reverse arc
-        return self.cap[e ^ 1]
-
 
 def _typed(code: str, values) -> array:
     """An ``array`` of the typecode holding the values, filled through a

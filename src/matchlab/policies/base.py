@@ -22,6 +22,7 @@ class MatchmakerPolicy:
     """
 
     name = "base"
+    param_types: dict[str, type] = {}  # constructor parameter -> the type a config value parses to
 
     def start(self, n: int, T: int, rng: SubstreamRng, ledger: FeedbackLedger) -> None:
         self.n = n

@@ -74,6 +74,7 @@ class IsmilePolicy(MatchmakerPolicy):
     """
 
     name = "ismile"
+    param_types = {"S": int, "tolerance": float}
 
     def __init__(self, S: int | None = None, tolerance: float | None = None):
         check_params(self.name, S, tolerance)

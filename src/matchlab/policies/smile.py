@@ -139,6 +139,7 @@ class SmilePolicy(MatchmakerPolicy):
     """
 
     name = "smile"
+    param_types = {"S": int, "gamma": float, "tolerance": float}
 
     def __init__(self, S: int | None = None, gamma: float = 1.0, tolerance: float = 0.0):
         check_params(self.name, S, tolerance)

@@ -29,6 +29,20 @@ def matching_edges(mg):
             m ^= low
 
 
+def arc_flow(net, e):
+    """The flow on arc e of a ``FlowNetwork``: pushed flow accumulates on
+    the reverse arc, e ^ 1."""
+    return net.cap[e ^ 1]
+
+
+def covering_is_valid(res, column_masks):
+    """Every column lies within ``res.radius`` of its assigned center."""
+    return all(
+        (res.centers[c] ^ col).bit_count() <= res.radius
+        for col, c in zip(column_masks, res.assignment)
+    )
+
+
 def matched_pairs(ledger):
     """The pairs a ledger has seen both ways positive: its matches."""
     return {

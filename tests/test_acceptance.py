@@ -2,11 +2,20 @@
 
 Each criterion prints a single PASS/FAIL line.  Every simulated run feeds the
 trace-optimal dominance check (criterion 10), which is a hard zero-tolerance
-assertion.  Expect a few minutes of wall time for the full file; the large
-Monte-Carlo criteria dominate.
+assertion.
+
+The criteria that simulate hand their runs to ``matchlab.runner.run_jobs``,
+the job runner of ``matchlab run``: one forked worker per usable CPU.  A job
+function below runs in a worker, solves M*_T of its trace there, and returns
+only what its criterion reads; the parent checks dominance on the records in
+job order, so ``DOMINANCE_LOG`` is the same on any number of CPUs.  Expect
+about a minute of wall time for the full file on two CPUs; criteria 08 and
+07 dominate.
 """
 
 import math
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import chisquare
@@ -25,20 +34,46 @@ from matchlab.analysis import boy_side_covering, cluster_bound, girl_side_coveri
 from matchlab.cli import main as cli_main
 from matchlab.omniscient import ArrivalCounts, arrival_counts, optimal_matches
 from matchlab.rng import philox
+from matchlab.runner import run_jobs
 
 from oracles import brute_force_bmatching, replay_ledger
 
 DOMINANCE_LOG = []
 
 
-def dominated(mg, run):
-    """Hard yardstick check; logs the comparison for criterion 10."""
+class Run(NamedTuple):
+    """What the criteria read of one run, reduced in the worker that ran it."""
+
+    policy: str
+    seed: int
+    matches: int
+    auc_sum: int
+    mstar: int  # M*_T of the run's trace
+
+
+def simulate(prefs, mg, name, T, seed, **params):
+    """Run ``name`` with curve stride T and solve M*_T of its trace.
+
+    Returns the ``Run`` record, the run and the policy.
+    """
+    policy = make_policy(name, **params)
+    run = run_protocol(prefs, policy, T, seed=seed, curve_stride=T)
     mstar = optimal_matches(mg, arrival_counts(run.trace))
-    DOMINANCE_LOG.append((run.policy_name, run.seed, run.ledger.matches, mstar))
-    assert run.ledger.matches <= mstar, (
-        f"{run.policy_name} seed {run.seed}: {run.ledger.matches} > M*_T={mstar}"
+    return Run(name, seed, run.ledger.matches, run.ledger.auc_sum, mstar), run, policy
+
+
+def dominated(rec):
+    """Hard yardstick check; logs the comparison for criterion 10."""
+    DOMINANCE_LOG.append((rec.policy, rec.seed, rec.matches, rec.mstar))
+    assert rec.matches <= rec.mstar, (
+        f"{rec.policy} seed {rec.seed}: {rec.matches} > M*_T={rec.mstar}"
     )
-    return mstar
+
+
+def run_record(prefs, mg, T, job):
+    """Job: one (policy, seed) run; its record."""
+    name, seed = job
+    return simulate(prefs, mg, name, T, seed)[0]
 
 
 def report(num, name, ok, detail=""):
@@ -86,12 +121,12 @@ def test_criterion_01_flow_yardstick_exactness():
 def test_criterion_02_oomm_band():
     n, m, T, seeds = 200, 2000, 2000, 200
     prefs = gen_adversarial_random(n, m, seed=2)
-    mg = build_matching_graph(prefs)
     finals = []
-    for s in range(seeds):
-        r = run_protocol(prefs, make_policy("oomm"), T, seed=s, curve_stride=T)
-        dominated(mg, r)
-        finals.append(r.ledger.matches)
+    job = partial(run_record, prefs, build_matching_graph(prefs), T)
+    with run_jobs(job, [("oomm", s) for s in range(seeds)]) as records:
+        for rec in records:
+            dominated(rec)
+            finals.append(rec.matches)
     mean = sum(finals) / seeds
     lo = 0.016 * (T - n) * m / n**2
     hi = 2 * T * m / n**2
@@ -102,17 +137,23 @@ def test_criterion_02_oomm_band():
 # -------------------------------------------------------------- criterion 3
 
 
+def reciprocal_pairs(prefs, mg, T, seed):
+    """Job: one oomm run; its record and the pairs its replayed trace
+    observed both ways."""
+    rec, run, _ = simulate(prefs, mg, "oomm", T, seed)
+    obs_bg, obs_gb, *_ = replay_ledger(run.trace)
+    return rec, [(b, g) for b, g in obs_bg if (g, b) in obs_gb]
+
+
 def test_criterion_03_oomm_uniform_reciprocal_sampling():
     n, T, seeds = 30, 300, 2000
     prefs = gen_adversarial_random(n, 200, seed=5)
-    mg = build_matching_graph(prefs)
     counts = np.zeros(n * n, dtype=np.int64)
-    for s in range(seeds):
-        r = run_protocol(prefs, make_policy("oomm"), T, seed=s, curve_stride=T)
-        dominated(mg, r)
-        obs_bg, obs_gb, *_ = replay_ledger(r.trace)
-        for b, g in obs_bg:
-            if (g, b) in obs_gb:
+    job = partial(reciprocal_pairs, prefs, build_matching_graph(prefs), T)
+    with run_jobs(job, range(seeds)) as results:
+        for rec, pairs in results:
+            dominated(rec)
+            for b, g in pairs:
                 counts[b * n + g] += 1
     res = chisquare(counts)
     report(3, "oomm uniform reciprocal sampling", res.pvalue >= 0.01,
@@ -125,15 +166,13 @@ def test_criterion_03_oomm_uniform_reciprocal_sampling():
 def test_criterion_04_uromm_vs_oomm_ratio():
     n, T, seeds = 100, 1000, 500
     prefs = gen_adversarial_random(n, 1000, seed=4)
-    mg = build_matching_graph(prefs)
-    tot_u = tot_o = 0
-    for s in range(seeds):
-        ru = run_protocol(prefs, make_policy("uromm"), T, seed=s, curve_stride=T)
-        ro = run_protocol(prefs, make_policy("oomm"), T, seed=s, curve_stride=T)
-        dominated(mg, ru)
-        dominated(mg, ro)
-        tot_u += ru.ledger.matches
-        tot_o += ro.ledger.matches
+    tot = {"uromm": 0, "oomm": 0}
+    job = partial(run_record, prefs, build_matching_graph(prefs), T)
+    with run_jobs(job, [(name, s) for s in range(seeds) for name in tot]) as records:
+        for rec in records:
+            dominated(rec)
+            tot[rec.policy] += rec.matches
+    tot_u, tot_o = tot["uromm"], tot["oomm"]
     ratio = (tot_u / seeds) / (tot_o / seeds)
     lo = 0.05 * T / n**2
     hi = 5 * T / n**2
@@ -168,33 +207,41 @@ def test_criterion_05_covering_recovery():
 # -------------------------------------------------------------- criterion 6
 
 
+def smile_clusters(n, C, T, S, seed):
+    """Job: smile on a noiseless seed's instance; its record and, girls
+    first, the representative count of each side and its ``cluster_bound``
+    at smile's S'."""
+    prefs = gen_clustered(ClusteredSpec(n=n, c_b=C, c_g=C, flip=0.0, seed=1000 + seed))
+    rec, _, policy = simulate(prefs, build_matching_graph(prefs), "smile", T, seed, S=S)
+    sides = (("girl", policy.girls), ("boy", policy.boys))
+    return rec, [(len(s.clusters.reps), cluster_bound(prefs, name, policy.S_prime)) for name, s in sides]
+
+
 def test_criterion_06_smile_cluster_soundness():
     n, C, T, seeds = 400, 10, 30000, 50
     S = math.ceil(math.log(n))
     exact = 0
     bound_ok = True
-    s_prime = None
-    for seed in range(seeds):
-        spec = ClusteredSpec(n=n, c_b=C, c_g=C, flip=0.0, seed=1000 + seed)
-        prefs = gen_clustered(spec)
-        mg = build_matching_graph(prefs)
-        policy = make_policy("smile", S=S)
-        r = run_protocol(prefs, policy, T, seed=seed, curve_stride=T)
-        dominated(mg, r)
-        s_prime = policy.S_prime
-        reps_g, reps_b = policy.girls.clusters.reps, policy.boys.clusters.reps
-        if len(reps_g) == C and len(reps_b) == C:
-            exact += 1
-        if len(reps_g) > cluster_bound(prefs, "girl", s_prime) or len(
-            reps_b
-        ) > cluster_bound(prefs, "boy", s_prime):
-            bound_ok = False
+    with run_jobs(partial(smile_clusters, n, C, T, S), range(seeds)) as results:
+        for rec, sides in results:
+            dominated(rec)
+            if all(reps == C for reps, _ in sides):
+                exact += 1
+            if any(reps > bound for reps, bound in sides):
+                bound_ok = False
     ok = exact >= 0.95 * seeds and bound_ok
     report(6, "smile cluster soundness", ok,
            f"exactly {C} reps per side in {exact}/{seeds} seeds; bound check {'ok' if bound_ok else 'violated'}")
 
 
 # -------------------------------------------------------------- criterion 7
+
+
+def smile_yield(n, C, T, S, seed):
+    """Job: smile on a noisy seed's instance; its record and M."""
+    prefs = gen_clustered(ClusteredSpec(n=n, c_b=C, c_g=C, flip=0.01, seed=2000 + seed))
+    mg = build_matching_graph(prefs)
+    return simulate(prefs, mg, "smile", T, seed, S=S)[0], mg.match_count
 
 
 def test_criterion_07_smile_match_yield():
@@ -207,17 +254,13 @@ def test_criterion_07_smile_match_yield():
     seeds = 30
     hits = 0
     fractions = []
-    for seed in range(seeds):
-        spec = ClusteredSpec(n=n, c_b=C, c_g=C, flip=0.01, seed=2000 + seed)
-        prefs = gen_clustered(spec)
-        mg = build_matching_graph(prefs)
-        policy = make_policy("smile", S=S)
-        r = run_protocol(prefs, policy, T, seed=seed, curve_stride=T)
-        dominated(mg, r)
-        frac = r.ledger.matches / mg.match_count
-        fractions.append(frac)
-        if frac >= 0.20:
-            hits += 1
+    with run_jobs(partial(smile_yield, n, C, T, S), range(seeds)) as results:
+        for rec, match_count in results:
+            dominated(rec)
+            frac = rec.matches / match_count
+            fractions.append(frac)
+            if frac >= 0.20:
+                hits += 1
     report(7, "smile match yield", hits >= 0.9 * seeds,
            f"T={T}; >=20% of M in {hits}/{seeds} seeds "
            f"(min {min(fractions):.2f}, median {sorted(fractions)[seeds // 2]:.2f})")
@@ -226,20 +269,22 @@ def test_criterion_07_smile_match_yield():
 # -------------------------------------------------------------- criterion 8
 
 
+def clustered_run(n, T, job):
+    """Job: one (policy, seed) run on the seed's S-20-22 instance; its record."""
+    prefs = gen_clustered(ClusteredSpec(n=n, c_b=20, c_g=22, seed=3000 + job[1]))
+    return run_record(prefs, build_matching_graph(prefs), T, job)
+
+
 def test_criterion_08_auc_ordering():
     n = 400
     T = 2 * n * n
     seeds = 20
-    spec_fields = dict(n=n, c_b=20, c_g=22)
     aucs = {"ismile": [], "oomm": [], "uromm": []}
-    for seed in range(seeds):
-        spec = ClusteredSpec(seed=3000 + seed, **spec_fields)
-        prefs = gen_clustered(spec)
-        mg = build_matching_graph(prefs)
-        for name in aucs:
-            r = run_protocol(prefs, make_policy(name), T, seed=seed, curve_stride=T)
-            dominated(mg, r)
-            aucs[name].append(r.ledger.auc_sum / T)
+    jobs = [(name, seed) for seed in range(seeds) for name in aucs]
+    with run_jobs(partial(clustered_run, n, T), jobs) as records:
+        for rec in records:
+            dominated(rec)
+            aucs[rec.policy].append(rec.auc_sum / T)
     mean = {k: sum(v) / len(v) for k, v in aucs.items()}
     gap1 = mean["ismile"] / mean["oomm"] - 1
     gap2 = mean["oomm"] / mean["uromm"] - 1
@@ -273,18 +318,22 @@ def test_criterion_09_sampled_agreement_monte_carlo():
 # -------------------------------------------------------------- criterion 10
 
 
+def instance_run(instances, T, job):
+    """Job: one (instance index, policy, seed) run; its record."""
+    prefs = instances[job[0]]
+    return run_record(prefs, build_matching_graph(prefs), T, job[1:])
+
+
 def test_criterion_10_yardstick_dominance():
     # the hard per-run assertions already fired inside dominated(); add a
     # fresh batch over all four policies so the check also stands alone
-    spec = ClusteredSpec(n=100, c_b=5, c_g=5, seed=4000)
-    prefs = gen_clustered(spec)
-    mg = build_matching_graph(prefs)
-    adv = gen_adversarial_random(100, 800, seed=4001)
-    adv_mg = build_matching_graph(adv)
-    for name in ("uromm", "oomm", "smile", "ismile"):
-        for seed in range(3):
-            dominated(mg, run_protocol(prefs, make_policy(name), 5000, seed, curve_stride=5000))
-            dominated(adv_mg, run_protocol(adv, make_policy(name), 5000, seed, curve_stride=5000))
+    instances = [gen_clustered(ClusteredSpec(n=100, c_b=5, c_g=5, seed=4000)),
+                 gen_adversarial_random(100, 800, seed=4001)]
+    policies = ("uromm", "oomm", "smile", "ismile")
+    jobs = [(i, name, seed) for name in policies for seed in range(3) for i in (0, 1)]
+    with run_jobs(partial(instance_run, instances, 5000), jobs) as records:
+        for rec in records:
+            dominated(rec)
     ok = all(m <= ms for _, _, m, ms in DOMINANCE_LOG)
     policies = {p for p, *_ in DOMINANCE_LOG}
     ok = ok and policies >= {"uromm", "oomm", "smile", "ismile"}

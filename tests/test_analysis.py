@@ -30,6 +30,7 @@ from matchlab.rng import philox
 
 from oracles import (
     cluster_bound_loop,
+    covering_is_valid,
     exact_column_cover,
     greedy_covering_loop,
     packing_lower_bound,
@@ -64,7 +65,7 @@ def test_covering_assignment_is_valid():
     for radius in (0, 3, 10, 40):
         res = greedy_covering(m, radius)
         cols = rows_to_masks(m.T)
-        assert res.validate(cols)
+        assert covering_is_valid(res, cols)
         assert 1 <= res.size <= 30
 
 
@@ -95,7 +96,7 @@ def test_first_fit_with_shuffle_is_valid(seed, radius):
     # their group's lowest column index; the covering stays valid
     boys, _ = gen_clustered(ClusteredSpec(n=60, c_b=5, c_g=5, seed=seed)).to_bool_arrays()
     cols = rows_to_masks(boys.T)
-    assert greedy_covering(boys, radius, shuffle_seed=1).validate(cols)
+    assert covering_is_valid(greedy_covering(boys, radius, shuffle_seed=1), cols)
 
 
 @settings(max_examples=25, deadline=None)
@@ -105,7 +106,7 @@ def test_covering_sandwich_small(radius, ncols, seed):
     m = gen.random((12, ncols)) < 0.5
     cols = rows_to_masks(m.T)
     res = greedy_covering(m, radius)
-    assert res.validate(cols)
+    assert covering_is_valid(res, cols)
     lower = packing_lower_bound(cols, radius)
     exact = exact_column_cover(cols, radius)
     assert lower <= res.size <= 2 * exact
@@ -148,7 +149,7 @@ def test_covering_matches_loop_oracle(m, radius, shuffle_seed, tile):
         got = greedy_covering(m, radius, shuffle_seed=shuffle_seed)
     want = greedy_covering_loop(m, radius, shuffle_seed=shuffle_seed)
     assert _same_covering(got, want)
-    assert got.validate(rows_to_masks(m.T))
+    assert covering_is_valid(got, rows_to_masks(m.T))
 
 
 def test_covering_matches_loop_oracle_paper_instance():

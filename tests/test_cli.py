@@ -631,6 +631,16 @@ def test_parse_config_validation(tmp_path):
             parse_config(cfg)
 
 
+def test_policy_param_types_name_the_constructor_parameters():
+    # parse_config reads each policy's parameters from its class, in POLICIES
+    import inspect
+
+    from matchlab.policies import POLICIES
+
+    for cls in POLICIES.values():
+        assert list(cls.param_types) == list(inspect.signature(cls).parameters), cls.name
+
+
 @pytest.mark.parametrize("line", ["T=abc", "smile.S=x"])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, line):
     # a value that is not a number used to escape as a ValueError traceback

@@ -49,25 +49,6 @@ def small_instances(draw):
     return PreferenceMatrices.from_bool_arrays(rng.random((n, n)) < p, rng.random((n, n)) < p)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    prefs=small_instances(),
-    name=st.sampled_from(sorted(PAIRS)),
-    S=st.none() | st.integers(1, 12),
-    tolerance=st.none() | st.sampled_from([0.0, 0.25]),
-    frac=st.floats(0.0, 1.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_fast_paths_match_full_scans(prefs, name, S, tolerance, frac, seed):
-    n = prefs.n
-    T = max(1, round(frac * 3 * n * n))
-    kwargs = {"S": S}
-    if tolerance is not None:
-        kwargs["tolerance"] = tolerance
-    fast_cls, slow_cls = PAIRS[name]
-    assert_same_run(prefs, fast_cls(**kwargs), slow_cls(**kwargs), T, seed)
-
-
 @st.composite
 def smile_cases(draw):
     """An instance and smile's forced S (None runs phase 0).
@@ -84,6 +65,29 @@ def smile_cases(draw):
                          p_like=draw(st.sampled_from([0.2, 0.5, 0.9])), flip=0.0,
                          seed=draw(st.integers(0, 2**16)))
     return gen_clustered(spec), draw(st.just(1) | st.none())  # S = 1 clamps to ceil(ln n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PAIRS)),
+    data=st.data(),
+    tolerance=st.none() | st.sampled_from([0.0, 0.25]),
+    frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_paths_match_full_scans(name, data, tolerance, frac, seed):
+    # smile draws ``smile_cases``, so its cells can hold several users
+    if name == "smile":
+        prefs, S = data.draw(smile_cases())
+    else:
+        prefs, S = data.draw(small_instances()), data.draw(st.none() | st.integers(1, 12))
+    n = prefs.n
+    T = max(1, round(frac * 3 * n * n))
+    kwargs = {"S": S}
+    if tolerance is not None:
+        kwargs["tolerance"] = tolerance
+    fast_cls, slow_cls = PAIRS[name]
+    assert_same_run(prefs, fast_cls(**kwargs), slow_cls(**kwargs), T, seed)
 
 
 @settings(max_examples=100, deadline=None)
