@@ -23,7 +23,7 @@ _SUBMODULE = {
     "delta_overload": "core",
     "read_instance": "core",
     "write_instance": "core",
-    "RoundTrace": "protocol",
+    "RoundTrace": "rundir",
     "FeedbackLedger": "protocol",
     "RunResult": "protocol",
     "run_protocol": "protocol",

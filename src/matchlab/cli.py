@@ -8,16 +8,17 @@ Exit codes: 0 success, 2 input error, 3 internal assertion failure.  Output
 files are plain text and CSV only; a rerun with an identical config is
 byte-identical.
 
-At the top this module imports only the standard library, ``errors`` and
-``__version__``; each command imports what it runs inside its function, so
-a short command does not pay for the others' start-up:
+At the top this module imports only the standard library, ``errors``,
+``__version__`` and ``rundir``, which defines every file of a run
+directory; each command imports what it runs inside its function, so a
+short command does not pay for the others' start-up:
 
-- ``report`` loads no numpy and no other matchlab module;
+- ``report`` loads no numpy and no other matchlab module besides ``rundir``;
 - ``gen`` loads ``datagen`` and ``core``;
 - ``cover`` loads ``analysis`` and ``core``;
 - ``ingest`` loads ``ingest`` and ``core``;
-- ``yardstick`` loads ``omniscient``, ``core`` and, for the trace's
-  columns, ``protocol``, but no policy;
+- ``yardstick`` loads ``core`` and ``omniscient``, but not the engine
+  (``protocol`` and ``rng``) and no policy;
 - ``run`` loads the engine, the policies, ``omniscient``, ``analysis``,
   ``numpy.random`` and the job runner (``runner``), which forks the process
   pool.
@@ -27,19 +28,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import InputError, InternalCheckError, MatchlabError
+from .rundir import (
+    BOUND_STATUS, RunRecord, check_trace, parse_number, read_auc, read_manifest, read_stats,
+    read_trace, read_yardstick, write_auc, write_curves, write_manifest, write_run_csv,
+    write_stats, write_trace, write_yardstick,
+)
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .core import PreferenceMatrices
-    from .protocol import RoundTrace
 
 @dataclass
 class ExperimentConfig:
@@ -60,14 +59,6 @@ CONFIG_KEYS = (
     "instance", "policies", "T", "seeds", "base_seed", "out",
     "curve_stride", "save_runs", "save_traces",
 )
-
-
-def _number(path, key, value, kind=int):
-    try:
-        return kind(value)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise InputError(f"{path}: {key} must be {what}, got {value!r}") from None
 
 
 def _distinct(path, key, items):
@@ -108,7 +99,7 @@ def parse_config(path) -> ExperimentConfig:
             types = POLICIES[pol].param_types
             if param not in types:
                 raise InputError(f"{path}:{i}: policy {pol!r} takes no parameter {param!r}")
-            policy_params.setdefault(pol, {})[param] = _number(path, key, value, types[param])
+            policy_params.setdefault(pol, {})[param] = parse_number(path, key, value, types[param])
         elif key in CONFIG_KEYS:
             kv[key] = value
         else:
@@ -126,14 +117,14 @@ def parse_config(path) -> ExperimentConfig:
     for p in policies:
         if p not in POLICIES:
             raise InputError(f"{path}: unknown policy {p!r}")
-    T = _number(path, "T", need("T"))
-    base_seed = _number(path, "base_seed", kv.get("base_seed", "0"))
+    T = parse_number(path, "T", need("T"))
+    base_seed = parse_number(path, "base_seed", kv.get("base_seed", "0"))
     seeds_raw = need("seeds")
     if "," in seeds_raw:
-        seeds = [_number(path, "seeds", s) for s in seeds_raw.split(",") if s.strip()]
+        seeds = [parse_number(path, "seeds", s) for s in seeds_raw.split(",") if s.strip()]
         _distinct(path, "seeds", seeds)
     else:
-        count = _number(path, "seeds", seeds_raw)
+        count = parse_number(path, "seeds", seeds_raw)
         if count < 1:
             raise InputError(f"{path}: seeds count must be >= 1")
         seeds = [base_seed + i for i in range(count)]
@@ -150,30 +141,14 @@ def parse_config(path) -> ExperimentConfig:
         T=T,
         seeds=seeds,
         out=Path(kv.get("out", "runs/out")),
-        curve_stride=_number(path, "curve_stride", kv.get("curve_stride", "1")),
+        curve_stride=parse_number(path, "curve_stride", kv.get("curve_stride", "1")),
         save_runs=kv.get("save_runs", "0") not in ("0", "false", ""),
         save_traces=kv.get("save_traces", "0") not in ("0", "false", ""),
         policy_params=policy_params,
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
 # ---------------------------------------------------------------- run
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """What the run tables read of one finished run."""
-
-    seed: int
-    T: int
-    curve: np.ndarray
-    auc_sum: int
-    matches: int
-    diagnostics: dict
 
 
 def cmd_run(config: ExperimentConfig) -> int:
@@ -195,8 +170,8 @@ def cmd_run(config: ExperimentConfig) -> int:
     ``secrets`` and with it ``hashlib`` and OpenSSL, and a worker that
     imported it after the fork would hold several MB of its own
     (libcrypto's pages and the heap its start-up fills).  It is loaded
-    here, not at the top of ``rng``, so ``yardstick``, which loads
-    ``protocol`` for the trace's columns, does not load OpenSSL.
+    here, not at the top of ``rng``, so ``cover``, which loads ``rng``
+    through ``analysis``, loads OpenSSL only when it shuffles.
     """
     import numpy.random  # noqa: F401  (loaded once, before the workers fork)
 
@@ -231,17 +206,29 @@ def cmd_run(config: ExperimentConfig) -> int:
                 )
             results[pol_name].append(rec)
 
-    _write_manifest(out / "manifest.txt", config, prefs, mg)
-    _write_curves(out / "curves.csv", config, results)
-    _write_auc(out / "auc.csv", config, results)
-    _write_yardstick(out / "yardstick.csv", config, results, mstar, mg)
-    _write_stats(out / "stats.csv", config, results, prefs)
+    from .analysis import cluster_bound  # no job runs it, so it is loaded after the pool
+
+    bounds: dict[int, tuple[int, int]] = {}  # S' -> the girl and the boy side's cluster_bound
+    for pol_records in results.values():
+        for rec in pol_records:
+            s_prime = rec.diagnostics.get("S_prime")
+            if "c_g" in rec.diagnostics and s_prime and s_prime not in bounds:
+                bounds[s_prime] = (
+                    cluster_bound(prefs, "girl", s_prime),
+                    cluster_bound(prefs, "boy", s_prime),
+                )
+
+    write_manifest(out / "manifest.txt", config, prefs, mg)
+    write_curves(out / "curves.csv", config, results)
+    write_auc(out / "auc.csv", config, results)
+    write_yardstick(out / "yardstick.csv", config, results, mstar)
+    write_stats(out / "stats.csv", config, results, bounds)
     if config.save_runs or len(jobs) <= 4:
         rdir = out / "runs"
         rdir.mkdir(exist_ok=True)
         for pol_name, pol_records in results.items():
             for rec in pol_records:
-                _write_run_csv(rdir / f"{pol_name}-{rec.seed}.csv", rec, config.curve_stride)
+                write_run_csv(rdir / f"{pol_name}-{rec.seed}.csv", rec, config.curve_stride)
     print(f"wrote {out}")
     return 0
 
@@ -279,185 +266,6 @@ def _run_one(job) -> tuple[RunRecord, int | None]:
     rec = RunRecord(seed, run.T, led.curve, led.auc_sum, led.matches, policy.diagnostics())
     del run, led, policy
     return rec, None if counts is None else optimal_matches(mg, counts)
-
-
-def _write_run_csv(path, rec, stride):
-    from .protocol import recorded_rounds
-
-    ts = recorded_rounds(rec.T, stride).tolist()
-    lines = ["t,matches"]
-    lines += [f"{t},{m}" for t, m in zip(ts, rec.curve.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_curves(path, config, results):
-    import numpy as np
-
-    from .protocol import recorded_rounds
-
-    ts = recorded_rounds(config.T, config.curve_stride).tolist()
-    cols = []
-    for pol in config.policies:
-        curves = np.stack([r.curve for r in results[pol]])
-        cols.append(curves.mean(axis=0))
-    lines = ["t," + ",".join(config.policies)]
-    for i, t in enumerate(ts):
-        lines.append(f"{t}," + ",".join(_fmt(c[i]) for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-AUC_METRICS = ("auc_mean", "auc_std", "final_mean", "final_std")
-STATS_HEADER = ("policy", "seed", "final_matches", "auc", "c_g", "c_b", "bound_ok")
-
-
-def _write_auc(path, config, results):
-    import numpy as np
-
-    rows = {metric: [] for metric in AUC_METRICS}
-    for pol in config.policies:
-        aucs = np.array([r.auc_sum / r.T for r in results[pol]])
-        finals = np.array([r.matches for r in results[pol]], dtype=float)
-        rows["auc_mean"].append(aucs.mean())
-        rows["auc_std"].append(aucs.std())
-        rows["final_mean"].append(finals.mean())
-        rows["final_std"].append(finals.std())
-    lines = ["metric," + ",".join(config.policies)]
-    for metric, vals in rows.items():
-        lines.append(metric + "," + ",".join(_fmt(v) for v in vals))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_yardstick(path, config, results, mstar, mg):
-    lines = ["seed,m_star," + ",".join(f"{p}_final" for p in config.policies)]
-    for i, seed in enumerate(config.seeds):
-        finals = [results[p][i].matches for p in config.policies]
-        lines.append(f"{seed},{mstar[seed]}," + ",".join(str(f) for f in finals))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_stats(path, config, results, prefs):
-    from .analysis import cluster_bound
-
-    lines = [",".join(STATS_HEADER)]
-    bound_cache: dict[int, tuple[int, int]] = {}
-    for pol in config.policies:
-        for rec in results[pol]:
-            d = rec.diagnostics
-            c_g = d.get("c_g", "")
-            c_b = d.get("c_b", "")
-            bound_ok = ""
-            s_prime = d.get("S_prime")
-            if c_g != "" and s_prime:
-                if s_prime not in bound_cache:
-                    bound_cache[s_prime] = (
-                        cluster_bound(prefs, "girl", s_prime),
-                        cluster_bound(prefs, "boy", s_prime),
-                    )
-                bg, bb = bound_cache[s_prime]
-                bound_ok = "1" if (c_g <= bg and c_b <= bb) else "0"
-            auc = rec.auc_sum / rec.T
-            lines.append(f"{pol},{rec.seed},{rec.matches},{_fmt(auc)},{c_g},{c_b},{bound_ok}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_manifest(path, config, prefs, mg):
-    lines = [
-        f"tool=matchlab {__version__}",
-        f"instance={config.instance}",
-        f"n={prefs.n}",
-        f"matches={mg.match_count}",
-        f"policies={','.join(config.policies)}",
-        f"T={config.T}",
-        f"seeds={','.join(str(s) for s in config.seeds)}",
-        f"curve_stride={config.curve_stride}",
-    ]
-    for pol, params in sorted(config.policy_params.items()):
-        for k, v in sorted(params.items()):
-            lines.append(f"{pol}.{k}={v}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------- traces
-
-
-TRACE_HEADER = "t,boy_arrival,girl_selected,sign_bg,girl_arrival,boy_selected,sign_gb"
-TRACE_BLOCK = 8192
-
-
-def write_trace(path, trace: RoundTrace) -> None:
-    cols = (trace.boy_arrivals, trace.girls_selected, trace.signs_bg,
-            trace.girl_arrivals, trace.boys_selected, trace.signs_gb)
-    with open(path, "w") as f:
-        f.write(TRACE_HEADER + "\n")
-        # a block of rounds at a time, so the text never exists whole
-        for s in range(0, len(trace), TRACE_BLOCK):
-            block = (c[s : s + TRACE_BLOCK].tolist() for c in cols)
-            rows = zip(range(s + 1, s + TRACE_BLOCK + 1), *block)
-            f.write("".join(map("%d,%d,%d,%d,%d,%d,%d\n".__mod__, rows)))
-
-
-def read_trace(path) -> RoundTrace:
-    """Parse a trace file; a malformed one raises InputError."""
-    import numpy as np
-
-    from .protocol import RoundTrace
-
-    with open(path) as f:
-        if f.readline().rstrip("\r\n") != TRACE_HEADER:
-            raise InputError(f"{path}: not a trace file")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rounds: reported below
-                arr = np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2)
-        except ValueError as e:
-            raise InputError(f"{path}: malformed trace: {str(e).split(';')[0]}") from None
-    if len(arr) == 0:
-        raise InputError(f"{path}: the trace has no rounds")
-    if arr.shape[1] != 7:
-        raise InputError(f"{path}: expected 7 fields per round, got {arr.shape[1]}")
-    off = np.flatnonzero(arr[:, 0] != np.arange(1, len(arr) + 1))
-    if len(off):
-        i = int(off[0])
-        raise InputError(
-            f"{path}: rounds must be numbered 1..{len(arr)}; data row {i + 1} has t = {arr[i, 0]}"
-        )
-    # fields the int32/int8 narrowing below would wrap into valid-looking values
-    bad = (arr[:, [1, 2, 4, 5]] >> 31 != 0).any(axis=1) | (np.abs(arr[:, [3, 6]]) != 1).any(axis=1)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise InputError(
-            f"{path}: round {i + 1} has a user index outside [0, 2**31) or a sign other than 1 or -1"
-        )
-    return RoundTrace(
-        arr[:, 1].astype(np.int32),
-        arr[:, 2].astype(np.int32),
-        arr[:, 3].astype(np.int8),
-        arr[:, 4].astype(np.int32),
-        arr[:, 5].astype(np.int32),
-        arr[:, 6].astype(np.int8),
-    )
-
-
-def _check_trace(trace: RoundTrace, prefs: PreferenceMatrices, path) -> None:
-    """Every recorded user index is < n and every recorded sign is the instance's.
-
-    A trace scored against the instance it was not recorded on fails here,
-    at its first round that disagrees.
-    """
-    import numpy as np
-
-    from .core import masks_to_rows
-
-    n = prefs.n
-    b, g1, g, b1 = trace.boy_arrivals, trace.girls_selected, trace.girl_arrivals, trace.boys_selected
-    bad = np.flatnonzero(np.logical_or.reduce([(c < 0) | (c >= n) for c in (b, g1, g, b1)]))
-    if len(bad):
-        raise InputError(f"{path}: round {bad[0] + 1} names a user index outside the instance's n = {n}")
-    wrong = masks_to_rows(prefs.boys_like, n)[b, g1] != (trace.signs_bg > 0)  # one side unpacked at a time
-    wrong |= masks_to_rows(prefs.girls_like, n)[g, b1] != (trace.signs_gb > 0)
-    bad = np.flatnonzero(wrong)
-    if len(bad):
-        raise InputError(f"{path}: round {bad[0] + 1} records a sign the instance does not have")
 
 
 # ---------------------------------------------------------------- other commands
@@ -510,7 +318,7 @@ def cmd_cover(args) -> int:
 
     prefs = read_instance(args.instance)
     if args.radii:
-        radii = [_number("cover", "--radii", r) for r in args.radii.split(",")]
+        radii = [parse_number("cover", "--radii", r) for r in args.radii.split(",")]
     else:
         radii = table_radii(prefs.n)
     lines = ["radius,boys_cover,girls_cover"]
@@ -531,7 +339,7 @@ def cmd_yardstick(args) -> int:
 
     prefs = read_instance(args.instance)
     trace = read_trace(args.trace)
-    _check_trace(trace, prefs, args.trace)
+    check_trace(trace, prefs, args.trace)
     mg = build_matching_graph(prefs)
     counts = arrival_counts(trace)
     mstar = optimal_matches(mg, counts)
@@ -567,54 +375,17 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-BOUND_STATUS = {"1": "ok", "0": "EXCEEDED", "": "n/a"}
-
-
-def _run_table(path, header, keys) -> list[list[str]]:
-    """The rows of a run table, split into fields.
-
-    The header must be ``header``, every row as wide as it, and row i must
-    start with the fields ``keys[i]``, one row per key and no more.
-    Anything else is an InputError naming the file and the line.
-    """
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != ",".join(header):
-        raise InputError(f"{path}:1: expected the header {','.join(header)!r}")
-    rows = [line.split(",") for line in lines[1:]]
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise InputError(f"{path}:{i}: expected {len(header)} fields, got {len(row)}")
-    for i, key in enumerate(keys, start=2):
-        if i - 2 >= len(rows) or rows[i - 2][: len(key)] != key:
-            raise InputError(f"{path}:{i}: expected a row starting {','.join(key)!r}")
-    if len(rows) > len(keys):
-        raise InputError(f"{path}:{len(keys) + 2}: expected no more rows")
-    return rows
-
-
 def cmd_report(args) -> int:
     rd = Path(args.run_dir)
     for name in ("manifest.txt", "auc.csv", "yardstick.csv", "stats.csv"):
         if not (rd / name).exists():
             raise InputError(f"missing run artifact: {rd / name}")
-    manifest = dict(
-        line.split("=", 1) for line in (rd / "manifest.txt").read_text().splitlines() if "=" in line
-    )
-    for key in ("policies", "seeds"):
-        if key not in manifest:
-            raise InputError(f"{rd / 'manifest.txt'}: no {key}= line")
+    manifest = read_manifest(rd / "manifest.txt")
     policies, seeds = manifest["policies"].split(","), manifest["seeds"].split(",")
-    total_matches = _number(rd / "manifest.txt", "matches", manifest.get("matches", "0"))
-    auc_path, ys_path, stats_path = rd / "auc.csv", rd / "yardstick.csv", rd / "stats.csv"
-    auc_rows = _run_table(auc_path, ["metric", *policies], [[m] for m in AUC_METRICS])
-    metrics = {
-        row[0]: [_number(f"{auc_path}:{i}", row[0], v, float) for v in row[1:]]
-        for i, row in enumerate(auc_rows, start=2)
-    }
-    ys_header = ["seed", "m_star", *(f"{p}_final" for p in policies)]
-    ys = _run_table(ys_path, ys_header, [[s] for s in seeds])
-    mstars = [_number(f"{ys_path}:{i}", "m_star", row[1]) for i, row in enumerate(ys, start=2)]
-    stats = _run_table(stats_path, STATS_HEADER, [[p, s] for p in policies for s in seeds])
+    total_matches = parse_number(rd / "manifest.txt", "matches", manifest.get("matches", "0"))
+    metrics = read_auc(rd / "auc.csv", policies)
+    mstars = read_yardstick(rd / "yardstick.csv", policies, seeds)
+    stats = read_stats(rd / "stats.csv", policies, seeds)
 
     lines = [
         f"run {rd}: instance {manifest.get('instance')} n={manifest.get('n')} "
@@ -626,10 +397,8 @@ def cmd_report(args) -> int:
         auc = metrics["auc_mean"][i]
         frac = final / total_matches if total_matches else float("nan")
         lines.append(f"  {pol}: final={final:.1f} ({frac:.1%} of M) auc={auc:.1f}")
-    for i, (pol, seed, final, auc, c_g, c_b, bound_ok) in enumerate(stats, start=2):
+    for pol, seed, final, auc, c_g, c_b, bound_ok in stats:
         if c_g:
-            if bound_ok not in BOUND_STATUS:
-                raise InputError(f"{stats_path}:{i}: bound_ok must be 1, 0 or empty, got {bound_ok!r}")
             lines.append(f"  {pol} seed {seed}: C^G={c_g} C^B={c_b} representative bound: {BOUND_STATUS[bound_ok]}")
     print("\n".join(lines))
     return 0

@@ -40,7 +40,7 @@ from .core import MatchingGraph, masks_to_rows
 from .errors import InputError
 
 if TYPE_CHECKING:
-    from .protocol import RoundTrace
+    from .rundir import RoundTrace
 
 
 COUNT_BLOCK = 1 << 20

@@ -17,6 +17,9 @@ ledger and never write it.
 Per round the engine keeps no running totals: it appends the round of each
 new match to ``FeedbackLedger.events``, and the match curve and the AUC sum
 are derived from those rounds once the run ends.
+
+A run's ``RoundTrace``, its six per-round columns, is defined in ``rundir``
+with the trace file it is saved to, so reading a trace loads no engine.
 """
 
 from __future__ import annotations
@@ -28,26 +31,9 @@ import numpy as np
 
 from .core import PreferenceMatrices
 from .errors import InputError, ProtocolError
+from .policies.base import MatchmakerPolicy
 from .rng import STREAM_POLICY, SubstreamRng, draw_arrivals
-
-
-@dataclass(frozen=True)
-class RoundTrace:
-    """The six per-round columns of a T-round run.
-
-    The engine's columns are int32 (user indices) and int8 (signs) numpy
-    views of the ``array`` buffers it recorded into, 18 bytes a round.
-    """
-
-    boy_arrivals: np.ndarray
-    girls_selected: np.ndarray
-    signs_bg: np.ndarray
-    girl_arrivals: np.ndarray
-    boys_selected: np.ndarray
-    signs_gb: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.boy_arrivals)
+from .rundir import RoundTrace
 
 
 @dataclass
@@ -98,8 +84,6 @@ def recorded_rounds(T: int, stride: int) -> np.ndarray:
 class RunResult:
     trace: RoundTrace
     ledger: FeedbackLedger
-    policy_name: str
-    seed: int
 
     @property
     def T(self) -> int:
@@ -139,9 +123,6 @@ def run_protocol(
         raise InputError(f"T must be >= 1, got {T}")
     if curve_stride < 1:
         raise InputError("curve_stride must be >= 1")
-
-    # imported here, so reading a trace (``RoundTrace``) loads no policy
-    from .policies.base import MatchmakerPolicy
 
     boy_arr, girl_arr = draw_arrivals(n, T, seed)
     ledger = FeedbackLedger(n)
@@ -225,7 +206,7 @@ def run_protocol(
         np.frombuffer(boys_sel, dtype=np.int32),
         np.frombuffer(s_gb, dtype=np.int8),
     )
-    return RunResult(trace, ledger, policy.name, seed)
+    return RunResult(trace, ledger)
 
 
 def _observer(policy, name, base):

@@ -26,6 +26,8 @@ STREAM_POLICY = 1
 STREAM_DATAGEN = 2
 STREAM_ANALYSIS = 3
 
+RNG_BLOCK = 8192  # 64-bit words a SubstreamRng draws at a time
+
 
 def philox(seed: int, stream: int) -> np.random.Generator:
     """A numpy Generator on the (seed, stream) Philox substream."""
@@ -39,11 +41,10 @@ class SubstreamRng:
     sampling, so ``randint(k)`` is exactly uniform and costs ~200ns.
     """
 
-    __slots__ = ("_gen", "_block", "_buf")
+    __slots__ = ("_gen", "_buf")
 
-    def __init__(self, seed: int, stream: int, block: int = 8192):
+    def __init__(self, seed: int, stream: int):
         self._gen = philox(seed, stream)
-        self._block = block
         self._buf: list[int] = []
 
     def randint(self, k: int) -> int:
@@ -58,7 +59,7 @@ class SubstreamRng:
         while True:
             if not buf:
                 self._buf = buf = self._gen.integers(
-                    0, 1 << 64, size=self._block, dtype=np.uint64
+                    0, 1 << 64, size=RNG_BLOCK, dtype=np.uint64
                 ).tolist()
             v = buf.pop()
             if v < accept_below or v < (1 << 64) // k * k:

@@ -293,6 +293,8 @@ def reveal(policy, ledger, boy_side, x, y, sign, t=1):
 def randint_by_division(rng, k):
     """``SubstreamRng.randint`` with the rejection limit floor(2^64 / k) * k
     computed by a division on every call, on ``rng``'s own buffer."""
+    from matchlab.rng import RNG_BLOCK
+
     if k <= 0:
         raise ValueError(f"randint needs k >= 1, got {k}")
     buf = rng._buf
@@ -300,7 +302,7 @@ def randint_by_division(rng, k):
     while True:
         if not buf:
             rng._buf = buf = rng._gen.integers(
-                0, 1 << 64, size=rng._block, dtype="uint64"
+                0, 1 << 64, size=RNG_BLOCK, dtype="uint64"
             ).tolist()
         v = buf.pop()
         if v < lim:

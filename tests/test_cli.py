@@ -2,6 +2,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchlab import make_policy, read_instance, run_protocol
 from matchlab.cli import main, parse_config, read_trace, write_trace
@@ -476,8 +478,8 @@ COMMAND_LOADS = {  # command: (its arguments, modules it must not load)
               (*ENGINE_AND_POLICIES, "matchlab.omniscient", "matchlab.datagen", "matchlab.ingest")),
     "run": (["run", "{d}/cfg", "--out", "{d}/o2"], ("matchlab.datagen", "matchlab.ingest")),
     "yardstick": (["yardstick", "{d}/i.txt", "{d}/o/traces/uromm-0.trace.csv"],
-                  ("matchlab.analysis", "matchlab.policies", "matchlab.datagen", "matchlab.ingest",
-                   "numpy.random", "hashlib")),  # no OpenSSL in analysis_peak_rss_mb
+                  ("matchlab.analysis", *ENGINE_AND_POLICIES, "matchlab.rng", "matchlab.datagen",
+                   "matchlab.ingest", "numpy.random", "hashlib")),  # no OpenSSL in analysis_peak_rss_mb
     "ingest": (["ingest", "--ratings", "{d}/r.csv", "--genders", "{d}/g.csv", "--coeff", "1",
                 "--out", "{d}/k.txt", "--report", "{d}/k.report"],
                ("matchlab.analysis", *ENGINE_AND_POLICIES, "matchlab.omniscient", "matchlab.datagen")),
@@ -488,7 +490,7 @@ COMMAND_LOADS = {  # command: (its arguments, modules it must not load)
 @pytest.mark.parametrize("command", sorted(COMMAND_LOADS))
 def test_command_loads_only_its_modules(command_inputs, command):
     # each command imports what it runs; report, the shortest, loads no numpy
-    # and no matchlab module besides cli and errors
+    # and no matchlab module besides cli, errors and rundir
     import json
 
     argv, banned = COMMAND_LOADS[command]
@@ -503,7 +505,8 @@ def test_command_loads_only_its_modules(command_inputs, command):
     loaded = set(json.loads(done.stdout.splitlines()[-1]))
     assert not {m for m in loaded for b in banned if m == b or m.startswith(b + ".")}
     if command == "report":
-        assert {m for m in loaded if m.startswith("matchlab")} == {"matchlab", "matchlab.cli", "matchlab.errors"}
+        own = {"matchlab", "matchlab.cli", "matchlab.errors", "matchlab.rundir"}
+        assert {m for m in loaded if m.startswith("matchlab")} == own
 
 
 def test_import_matchlab_loads_no_submodule():
@@ -822,3 +825,50 @@ def test_cover_radii_not_integers_exits_2_with_one_line(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("cover", inst, "--radii", "a,b") == 2
     assert capsys.readouterr().err == "error: cover: --radii must be an integer, got 'a'\n"
+
+
+DAMAGE_TARGETS = {  # an input file of ``command_inputs``: the commands that read it
+    "o/manifest.txt": ("report",),
+    "o/auc.csv": ("report",),
+    "o/yardstick.csv": ("report",),
+    "o/stats.csv": ("report",),
+    "o/traces/uromm-0.trace.csv": ("yardstick",),
+    "i.txt": ("cover", "yardstick", "run"),
+    "cfg": ("run",),
+    "r.csv": ("ingest",),
+    "g.csv": ("ingest",),
+}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(target=st.sampled_from(sorted(DAMAGE_TARGETS)), data=st.data())
+def test_a_damaged_input_file_exits_0_or_2(command_inputs, target, data):
+    # a file cut at any byte, or with a digit turned into a non-number, is
+    # either still valid or an input error: never a traceback or exit 3
+    import shutil
+
+    w = command_inputs / "damaged"  # the same paths in every example, so the files are too
+    shutil.rmtree(w, ignore_errors=True)
+    shutil.copytree(command_inputs / "o", w / "o")
+    for name in ("i.txt", "r.csv", "g.csv"):
+        shutil.copy(command_inputs / name, w / name)
+    write_config(w / "cfg", instance=w / "i.txt", policies="uromm,ismile", T=100, seeds=1)
+    path = w / target
+    raw = path.read_bytes()
+    digits = [i for i, c in enumerate(raw) if chr(c).isdigit()]
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw)), label="cut at")]
+    else:
+        i = data.draw(st.sampled_from(digits), label="digit at")
+        raw = raw[:i] + data.draw(st.sampled_from([b"x", b"-", b".", b" ", b"e"])) + raw[i + 1 :]
+    path.write_bytes(raw)
+    argvs = {
+        "report": ["report", w / "o"],
+        "yardstick": ["yardstick", w / "i.txt", w / "o/traces/uromm-0.trace.csv"],
+        "cover": ["cover", w / "i.txt"],
+        "run": ["run", w / "cfg", "--out", w / "out"],
+        "ingest": ["ingest", "--ratings", w / "r.csv", "--genders", w / "g.csv", "--coeff", 1,
+                   "--out", w / "k.txt", "--report", w / "k.report"],
+    }
+    for command in DAMAGE_TARGETS[target]:
+        assert run_cli(*argvs[command]) in (0, 2), (target, command, raw)

@@ -84,12 +84,12 @@ def run_case(case: str, work: Path, monkeypatch) -> dict[str, str]:
 
     received = {}
 
-    def recording_write_stats(path, config, results, prefs):
+    def recording_write_stats(path, config, results, bounds):
         received.update(results)  # the RunRecords the parent read back from its workers
-        return write_stats(path, config, results, prefs)
+        return write_stats(path, config, results, bounds)
 
-    write_stats = cli._write_stats
-    monkeypatch.setattr(cli, "_write_stats", recording_write_stats)
+    write_stats = cli.write_stats
+    monkeypatch.setattr(cli, "write_stats", recording_write_stats)
     assert cli.main(["run", str(cfg)]) == 0
 
     files = {name: (out / name).read_text() for name in TABLES}

@@ -48,8 +48,8 @@ def test_randint_matches_the_division_oracle():
     bits = gen.integers(1, 65, size=20000).tolist()
     words = gen.integers(0, 1 << 64, size=20000, dtype=np.uint64).tolist()
     ks = [max(1, w >> (64 - b)) for b, w in zip(bits, words)] + edges * 300
-    fast = SubstreamRng(8, STREAM_POLICY, block=64)
-    slow = SubstreamRng(8, STREAM_POLICY, block=64)
+    fast = SubstreamRng(8, STREAM_POLICY)
+    slow = SubstreamRng(8, STREAM_POLICY)
     assert [fast.randint(k) for k in ks] == [randint_by_division(slow, k) for k in ks]
     assert fast._buf == slow._buf
 
